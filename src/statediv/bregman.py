@@ -26,7 +26,6 @@ from .hermitian import (
     DensityState,
     RankOneProjection,
     apply_function,
-    cluster_overlaps,
     trace_on_support,
     transition_probability,
 )
@@ -63,13 +62,13 @@ def _check_dims(x: DensityState, y: DensityState) -> None:
 def support_contained(x: DensityState, y: DensityState, *, tols: Tolerances = DEFAULT_TOLS) -> bool:
     """Whether supp X is contained in supp Y, via tr((I - supp_Y) X) < eps_supp.
 
-    Basis-free and O(d^2); exactly the trace weight the kernel of Y carries in
-    the spectral double sum.
+    X enters with its zeros decided and the leak is read from the kernel
+    eigenvectors of Y: exactly the trace weight the kernel of Y carries in the
+    spectral double sum, so a state always contains its own support.
     """
     _check_dims(x, y)
-    complement = np.eye(y.dim, dtype=complex) - y.support
-    leak = float(np.einsum("ij,ji->", complement, x.matrix).real)
-    return leak < tols.eps_supp
+    inner = x.spectral.v.conj().T @ y.spectral.v[:, y.rank :]  # states keep their zeros last
+    return float(x.spectral.w @ (inner.real**2 + inner.imag**2).sum(axis=1)) < tols.eps_supp
 
 
 def bregman(
@@ -81,31 +80,25 @@ def bregman(
 ) -> float:
     """Bregman f-divergence H_f(X, Y); ``math.inf`` on the infinite branch.
 
-    Terms whose overlap tr(P_x Q_y) falls below ``tol_num`` are skipped: the
-    formula assigns them weight zero, and keeping them only injects 0 * huge
-    noise where f'(y) blows up near small y.
+    The double sum of (f(a) - f(b) - f'(b)(a - b)) |<v_a, u_b>|^2 over
+    eigenvalue pairs is one array expression; the infinite class leaves out
+    the kernel of Y.  Pairs whose overlap |<v_a, u_b>| is below ``tol_num``
+    are skipped: orthogonal eigenvectors come out with overlaps of rounding
+    size, and skipping them makes H_f(X, X) exactly 0.
     """
     f = normalize(f)
     _check_dims(x, y)
-    infinite_class = not f.finite_zero_slope
-    if infinite_class and not support_contained(x, y, tols=tols):
-        return INF
-
-    overlaps = cluster_overlaps(x.spectral, y.spectral)
-    xs = x.spectral.eigenvalues
-    ys = y.spectral.eigenvalues
-    total = 0.0
-    for j, b in enumerate(ys):
-        if infinite_class and b == 0.0:
-            continue
-        fb = f(b)
-        sb = f.slope(b)
-        for i, a in enumerate(xs):
-            weight = overlaps[i, j]
-            if weight < tols.tol_num:
-                continue
-            total += (f(a) - fb - sb * (a - b)) * weight
-    return _clamp_nonneg(total, tols.tol_num)
+    sx, sy = x.spectral, y.spectral
+    inner = sx.v.conj().T @ sy.v
+    weights = inner.real**2 + inner.imag**2
+    n = sy.dim
+    if not f.finite_zero_slope:
+        if sx.w @ weights[:, y.rank :].sum(axis=1) >= tols.eps_supp:  # as in support_contained
+            return INF
+        n = y.rank
+    a, b, weights = sx.w[:, None], sy.w[:n], weights[:, :n]
+    terms = (f.values(a) - f.values(b) - f.slopes(b) * (a - b)) * weights
+    return _clamp_nonneg(terms.sum(where=weights >= tols.tol_num**2), tols.tol_num)
 
 
 def bregman_trace_form(
@@ -118,30 +111,23 @@ def bregman_trace_form(
     """H_f via operator functions and a support-restricted trace.
 
     Independent route to the same value as :func:`bregman`: assembles
-    f(X) - f(Y) - f'(Y)(X - Y) as matrices and takes the trace on supp Y
-    (the full trace in the finite-derivative regime).  Kept public because the
-    two routes cross-check each other.
+    f(X) - f(Y) - f'(Y)(X - Y) as matrices, with X and Y taken with their
+    zeros decided, and takes the trace on supp Y (the full trace in the
+    finite-derivative regime).  Kept public because the two routes
+    cross-check each other.
     """
     f = normalize(f)
     _check_dims(x, y)
-    if f.finite_zero_slope:
-        fx = apply_function(x, f, tols=tols)
-        fy = apply_function(y, f, tols=tols)
-        dfy = apply_function(y, f.slope, tols=tols)
-        expr = fx - fy - dfy @ (x.matrix - y.matrix)
-        return _clamp_nonneg(float(np.trace(expr).real), tols.tol_num)
-
-    if not support_contained(x, y, tols=tols):
+    finite = f.finite_zero_slope
+    if not finite and not support_contained(x, y, tols=tols):
         return INF
-    fx = apply_function(x, f, tols=tols)
-    fy = apply_function(y, f, tols=tols)
-    # Derivative restricted to supp Y: the kernel cluster carries weight 0.
-    dfy = np.zeros((y.dim, y.dim), dtype=complex)
-    for c in y.spectral.clusters:
-        if c.eigenvalue != 0.0:
-            dfy += f.slope(c.eigenvalue) * c.projection
-    expr = fx - fy - dfy @ (x.matrix - y.matrix)
-    value = trace_on_support(expr, y.support, tols=tols)
+    sy = y.spectral
+    n = sy.dim if finite else y.rank  # the infinite class puts f' on supp Y only
+    dfy = (sy.v[:, :n] * f.slopes(sy.w[:n])) @ sy.v[:, :n].conj().T
+    fx = apply_function(x, f.values, tols=tols)
+    fy = apply_function(y, f.values, tols=tols)
+    expr = fx - fy - dfy @ (x.spectral.reconstruct() - sy.reconstruct())
+    value = float(np.trace(expr).real) if finite else trace_on_support(expr, y.support, tols=tols)
     return _clamp_nonneg(value, tols.tol_num)
 
 

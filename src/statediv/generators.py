@@ -43,9 +43,10 @@ NEG_INF = float("-inf")
 class GeneratorFunction:
     """A strictly convex scalar function with derivative and zero limits.
 
-    ``fn`` and ``dfn`` are defined on (0, inf); ``value_at_zero`` and
-    ``slope_at_zero`` are the declared limits f(0+) and f'(0+), the latter
-    possibly ``-inf``.
+    ``fn`` and ``dfn`` are defined on (0, inf) and must work on floats and
+    elementwise on numpy arrays (``np.log``, not ``math.log``); ``values`` and
+    ``slopes`` evaluate whole arrays.  ``value_at_zero`` and ``slope_at_zero``
+    are the declared limits f(0+) and f'(0+), the latter possibly ``-inf``.
     """
 
     name: str
@@ -61,7 +62,7 @@ class GeneratorFunction:
             return self.value_at_zero
         if x < 0.0:
             raise DomainError(f"generator {self.name!r} is only defined on [0, inf), got {x!r}")
-        return self.fn(x)
+        return float(self.fn(x))
 
     def slope(self, x: float) -> float:
         """f'(x), using the declared limit at x = 0."""
@@ -69,7 +70,21 @@ class GeneratorFunction:
             return self.slope_at_zero
         if x < 0.0:
             raise DomainError(f"generator {self.name!r} is only defined on [0, inf), got {x!r}")
-        return self.dfn(x)
+        return float(self.dfn(x))
+
+    def values(self, x: np.ndarray) -> np.ndarray:
+        return self._on_array(self.fn, x, self.value_at_zero)
+
+    def slopes(self, x: np.ndarray) -> np.ndarray:
+        return self._on_array(self.dfn, x, self.slope_at_zero)
+
+    def _on_array(self, fn: Callable, x: np.ndarray, at_zero: float) -> np.ndarray:
+        """fn elementwise, with the declared limit at exactly 0."""
+        x = np.asarray(x, dtype=float)
+        if (x < 0.0).any():
+            raise DomainError(f"generator {self.name!r} is only defined on [0, inf), got {float(x.min())!r}")
+        positive = x > 0.0
+        return np.where(positive, fn(np.where(positive, x, 1.0)), at_zero)
 
     @property
     def finite_zero_slope(self) -> bool:
@@ -117,8 +132,8 @@ def std_entropy() -> NormalizedGenerator:
     """f(x) = x log x; f(0) = 0, f'(0+) = -inf.  Generates the Umegaki relative entropy."""
     return NormalizedGenerator(
         name="xlogx",
-        fn=lambda x: x * math.log(x),
-        dfn=lambda x: math.log(x) + 1.0,
+        fn=lambda x: x * np.log(x),
+        dfn=lambda x: np.log(x) + 1.0,
         value_at_zero=0.0,
         slope_at_zero=NEG_INF,
         matrix_entropy_member=True,

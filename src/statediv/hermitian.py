@@ -9,9 +9,9 @@ treated as immutable.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Callable
+from functools import cached_property
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -72,54 +72,74 @@ class SpectralCluster:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Clustered spectral decomposition M = sum_a a * P_a.
+    """Clustered spectral decomposition M = V diag(w) V* = sum_a a * P_a.
 
-    Clusters are ordered by strictly decreasing eigenvalue; projections are
-    mutually orthogonal and sum to the identity.  ``support`` is the
-    orthogonal projection onto the span of the nonzero-eigenvalue clusters.
+    ``w`` has one eigenvalue per column of the unitary ``v``, descending, with
+    exact zeros.  Cluster a is the columns ``starts[a]:starts[a + 1]``, with
+    P_a = V_a V_a* and value a the mean of its eigenvalues.  The projections
+    in ``clusters`` and ``support`` are built only when read.
     """
 
-    dim: int
-    clusters: tuple[SpectralCluster, ...]
-    support: np.ndarray
+    w: np.ndarray
+    v: np.ndarray
+    starts: np.ndarray
 
     @property
+    def dim(self) -> int:
+        return self.w.shape[0]
+
+    @cached_property
     def eigenvalues(self) -> np.ndarray:
-        """Cluster eigenvalues, strictly decreasing."""
-        return np.array([c.eigenvalue for c in self.clusters])
+        """Cluster eigenvalues (member means), strictly decreasing."""
+        return np.add.reduceat(self.w, self.starts) / self.multiplicities
+
+    @cached_property
+    def multiplicities(self) -> np.ndarray:
+        return np.diff(np.append(self.starts, self.dim))
 
     @property
     def rank(self) -> int:
-        return sum(c.multiplicity for c in self.clusters if c.eigenvalue != 0.0)
+        return int(np.count_nonzero(self.w))
+
+    @cached_property
+    def clusters(self) -> tuple[SpectralCluster, ...]:
+        return tuple(
+            SpectralCluster(float(a), _projection(self.v[:, s : s + m]), int(m))
+            for a, s, m in zip(self.eigenvalues, self.starts, self.multiplicities)
+        )
+
+    @cached_property
+    def support(self) -> np.ndarray:
+        return _projection(self.v[:, self.w != 0.0])
 
     def reconstruct(self) -> np.ndarray:
-        """Reassemble sum_a a * P_a."""
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for c in self.clusters:
-            out += c.eigenvalue * c.projection
-        return out
+        """Reassemble V diag(w) V*."""
+        return (self.v * self.w) @ self.v.conj().T
 
 
-def _cluster_eigensystem(
-    eigenvalues: np.ndarray, eigenvectors: np.ndarray, cluster_tol: float
-) -> list[tuple[float, np.ndarray, int]]:
-    """Greedily group descending eigenvalues whose consecutive gaps < cluster_tol."""
-    order = np.argsort(eigenvalues)[::-1]
-    w = eigenvalues[order]
-    v = eigenvectors[:, order]
-    groups: list[list[int]] = [[0]]
-    for k in range(1, len(w)):
-        if w[k - 1] - w[k] < cluster_tol:
-            groups[-1].append(k)
-        else:
-            groups.append([k])
-    out = []
-    for idx in groups:
-        cols = v[:, idx]
-        projection = cols @ cols.conj().T
-        value = float(np.mean(w[idx]))
-        out.append((value, hermitian_part(projection), len(idx)))
-    return out
+def _projection(columns: np.ndarray) -> np.ndarray:
+    return hermitian_part(columns @ columns.conj().T)
+
+
+def _cluster_starts(w: np.ndarray, cluster_tol: float) -> np.ndarray:
+    """Cluster boundaries of a descending spectrum whose zeros are exactly 0.
+
+    The zeros form one cluster.  A nonzero cluster starts at its largest
+    member and takes every following eigenvalue of the same sign less than
+    ``cluster_tol`` below it, so its diameter stays below ``cluster_tol``.
+    """
+    sign = np.sign(w)
+    cut = (w[:-1] - w[1:] >= cluster_tol) | (sign[:-1] != sign[1:])
+    starts = np.flatnonzero(np.concatenate(([True], cut)))
+    ends = np.append(starts[1:], len(w))
+    wide = w[starts] - w[ends - 1] >= cluster_tol
+    extra = []
+    for s, e in zip(starts[wide], ends[wide]):
+        below = -w[s:e]
+        k = 0
+        while (k := int(np.searchsorted(below, below[k] + cluster_tol))) < e - s:
+            extra.append(s + k)
+    return np.sort(np.concatenate((starts, np.array(extra, dtype=int))))
 
 
 def decompose(
@@ -131,55 +151,48 @@ def decompose(
 ) -> SpectralDecomposition:
     """Spectral decomposition with eigenvalue clustering.
 
-    Degenerate spectra must yield genuine spectral projections rather than an
-    arbitrary split into rank-one pieces, so eigenvalues closer than
-    ``cluster_tol`` are merged.  Cluster values with magnitude below
-    ``tols.eps_supp`` are snapped to exactly 0 so the support projection is an
-    unambiguous object.  With ``psd_floor=True`` (used for validated states)
-    any eigenvalue below ``eps_supp`` -- including tolerated small negatives --
-    is zeroed before clustering.
+    Zeros are decided first: eigenvalues below ``eps_supp`` in magnitude are
+    exactly 0 (with ``psd_floor``, for validated states: every one below
+    ``eps_supp``, and one below ``-tol_psd`` is an error).  Then nonzero
+    eigenvalues within ``cluster_tol`` of a cluster's largest member join it,
+    so degenerate spectra yield genuine spectral projections.
     """
     if cluster_tol is None:
         cluster_tol = tols.cluster_tol
-    matrix = validate_hermitian(matrix, tols.tol_herm)
-    dim = matrix.shape[0]
-    w, v = np.linalg.eigh(matrix)
-    if psd_floor:
-        w = np.where(w < tols.eps_supp, 0.0, w)
-    clusters = []
-    for value, projection, mult in _cluster_eigensystem(w, v, cluster_tol):
-        if abs(value) < tols.eps_supp:
-            value = 0.0
-        clusters.append(SpectralCluster(value, projection, mult))
-    support = np.zeros((dim, dim), dtype=complex)
-    for c in clusters:
-        if c.eigenvalue != 0.0:
-            support += c.projection
-    return SpectralDecomposition(dim=dim, clusters=tuple(clusters), support=support)
+    w, v = np.linalg.eigh(validate_hermitian(matrix, tols.tol_herm))
+    if psd_floor and w[0] < -tols.tol_psd:
+        raise ValidationError(f"state has negative eigenvalue {w[0]:.3e} beyond {tols.tol_psd:.1e}")
+    w = w[::-1]
+    w = np.where(w < tols.eps_supp if psd_floor else np.abs(w) < tols.eps_supp, 0.0, w)
+    v = np.ascontiguousarray(v[:, ::-1])
+    return SpectralDecomposition(w=w, v=v, starts=_cluster_starts(w, cluster_tol))
 
 
 def apply_function(
     matrix: "np.ndarray | SpectralDecomposition | DensityState",
-    fn: Callable[[float], float],
+    fn: Callable[[np.ndarray], np.ndarray],
     *,
     tols: Tolerances = DEFAULT_TOLS,
 ) -> np.ndarray:
-    """Standard operator function: f(M) = sum_a f(a) * P_a.
+    """Standard operator function f(M) = V diag(f(w)) V*.
 
-    ``fn`` must be defined on the (clustered) spectrum of ``matrix``; an
-    evaluation error or non-finite value raises ``DomainError``.
+    ``fn`` is evaluated on the eigenvalue array at once, or one eigenvalue at
+    a time if it takes scalars only; an evaluation error or a non-finite
+    value raises ``DomainError``.
     """
     spec = _as_decomposition(matrix, tols)
-    out = np.zeros((spec.dim, spec.dim), dtype=complex)
-    for c in spec.clusters:
+    try:
+        values = np.broadcast_to(np.asarray(fn(spec.w), dtype=float), spec.w.shape)
+    except (TypeError, ValueError):  # fn takes scalars only
         try:
-            value = fn(c.eigenvalue)
+            values = np.array([fn(float(a)) for a in spec.w])
         except (ValueError, ZeroDivisionError, OverflowError) as exc:
-            raise DomainError(f"cannot evaluate function at eigenvalue {c.eigenvalue!r}: {exc}") from exc
-        if not math.isfinite(value):
-            raise DomainError(f"function value at eigenvalue {c.eigenvalue!r} is {value!r}")
-        out += value * c.projection
-    return out
+            raise DomainError(f"cannot evaluate function on the spectrum {spec.w!r}: {exc}") from exc
+    finite = np.isfinite(values)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise DomainError(f"function value at eigenvalue {float(spec.w[k])!r} is {float(values[k])!r}")
+    return (spec.v * values) @ spec.v.conj().T
 
 
 def _as_decomposition(
@@ -210,13 +223,29 @@ class DensityState:
         trace = float(np.trace(matrix).real)
         if abs(trace - 1.0) > tols.tol_trace:
             raise ValidationError(f"state trace is {trace!r}, expected 1 within {tols.tol_trace:.1e}")
-        eigenvalues = np.linalg.eigvalsh(matrix)
-        if float(eigenvalues.min()) < -tols.tol_psd:
-            raise ValidationError(
-                f"state has negative eigenvalue {float(eigenvalues.min()):.3e} beyond {tols.tol_psd:.1e}"
-            )
-        spectral = decompose(matrix, tols=tols, psd_floor=True)
-        return cls(matrix=matrix, spectral=spectral)
+        return cls(matrix=matrix, spectral=decompose(matrix, tols=tols, psd_floor=True))
+
+    @classmethod
+    def from_orthonormal(cls, weights: Sequence[float], vectors: Sequence[np.ndarray]) -> "DensityState":
+        """The state sum_k weights[k] |v_k><v_k|: orthonormal v_k, decreasing weights summing to 1.
+
+        No eigendecomposition runs: one Householder reflector per vector,
+        O(d^2) each, completes the basis, whose other columns get eigenvalue 0.
+        """
+        dim, k = vectors[0].shape[0], len(vectors)
+        v = np.eye(dim, dtype=complex)
+        for j, u in enumerate(vectors):
+            # Reflector fixing columns < j and taking column j to u, up to a phase.
+            h = u @ v.conj()
+            h[:j] = 0.0
+            hj = complex(h[j])
+            h[j] = hj + (hj / abs(hj) if hj else 1.0)
+            v -= (v @ h)[:, None] * (h.conj() * (2.0 / np.vdot(h, h).real))
+            v[:, j] = u
+        w = np.zeros(dim)
+        w[:k] = weights
+        matrix = hermitian_part((v[:, :k] * w[:k]) @ v[:, :k].conj().T)
+        return cls(matrix=matrix, spectral=SpectralDecomposition(w=w, v=v, starts=np.arange(min(k + 1, dim))))
 
     @property
     def dim(self) -> int:
@@ -237,15 +266,15 @@ class DensityState:
     def as_rank_one(self, tol: float | None = None) -> "RankOneProjection":
         """Extract the rank-one projection if this state is pure."""
         tol = DEFAULT_TOLS.tol_num if tol is None else tol
-        top = self.spectral.clusters[0]
-        if abs(top.eigenvalue - 1.0) > tol or top.multiplicity != 1:
+        spec = self.spectral
+        top, multiplicity = float(spec.w[0]), int(spec.multiplicities[0])
+        if abs(top - 1.0) > tol or multiplicity != 1:
             raise ValidationError(
-                f"state is not rank-one: leading eigenvalue {top.eigenvalue!r} "
-                f"with multiplicity {top.multiplicity}"
+                f"state is not rank-one: leading eigenvalue {top!r} "
+                f"with multiplicity {multiplicity}"
             )
-        column = int(np.argmax(np.abs(np.diagonal(top.projection))))
-        vector = top.projection[:, column]
-        return RankOneProjection.from_vector(vector)
+        vector = spec.v[:, 0]
+        return RankOneProjection.from_vector(vector * vector[np.argmax(np.abs(vector))].conj())
 
 
 def density_state(matrix: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> DensityState:
@@ -276,13 +305,8 @@ class RankOneProjection:
         return np.outer(self.vector, self.vector.conj())
 
     def to_state(self, tols: Tolerances = DEFAULT_TOLS) -> DensityState:
-        projection = self.matrix
-        clusters = [SpectralCluster(1.0, projection, 1)]
-        if self.dim > 1:
-            complement = np.eye(self.dim, dtype=complex) - projection
-            clusters.append(SpectralCluster(0.0, hermitian_part(complement), self.dim - 1))
-        spectral = SpectralDecomposition(dim=self.dim, clusters=tuple(clusters), support=projection)
-        return DensityState(matrix=projection, spectral=spectral)
+        """The state |v><v|, with its decomposition attached (no eigh runs)."""
+        return DensityState.from_orthonormal([1.0], [self.vector])
 
 
 def transition_probability(p: RankOneProjection, q: RankOneProjection) -> float:
@@ -312,12 +336,3 @@ def trace_on_support(
             f"matrix shape {matrix.shape} does not match support shape {support.shape}"
         )
     return float(np.trace(support @ matrix @ support).real)
-
-
-def cluster_overlaps(a: SpectralDecomposition, b: SpectralDecomposition) -> np.ndarray:
-    """Overlap table T[i, j] = tr(P_i Q_j) between two cluster families."""
-    if a.dim != b.dim:
-        raise DimensionMismatchError(f"decomposition dimensions differ: {a.dim} vs {b.dim}")
-    ps = np.stack([c.projection for c in a.clusters])
-    qs = np.stack([c.projection for c in b.clusters])
-    return np.einsum("aij,bji->ab", ps, qs).real

@@ -36,9 +36,6 @@ from .generators import GeneratorFunction, NormalizedGenerator, normalize
 from .hermitian import (
     DensityState,
     RankOneProjection,
-    SpectralCluster,
-    SpectralDecomposition,
-    hermitian_part,
     transition_probability,
 )
 from .jensen import jensen, jensen_max_constant, jensen_rank_one
@@ -339,18 +336,14 @@ def _pure_divergence_values(
     """H_f(X, |v><v|) for unit columns v of ``candidates`` (finite f'(0) only).
 
     A pure second argument has spectrum {1, 0}, so the double sum collapses to
-    a function that is linear in the overlaps p_k = <v, P_k v>.
+    a function that is linear in the overlaps p_k = |<u_k, v>|^2 with the
+    eigenvectors u_k of X.
     """
-    slope_one = f.slope(1.0)
-    slope_zero = f.slope_at_zero
-    values = np.zeros(candidates.shape[1])
-    for c in x.spectral.clusters:
-        a = c.eigenvalue
-        overlaps = np.einsum("in,ij,jn->n", candidates.conj(), c.projection, candidates).real
-        term_img = f(a) - slope_one * (a - 1.0)  # weight on the image line
-        term_ker = f(a) - slope_zero * a  # weight on the kernel of |v><v|
-        values += term_img * overlaps + term_ker * (c.multiplicity - overlaps)
-    return values
+    a = x.spectral.w[:, None]
+    overlaps = np.abs(x.spectral.v.conj().T @ candidates) ** 2
+    term_img = f.values(a) - f.slope(1.0) * (a - 1.0)  # weight on the image line
+    term_ker = f.values(a) - f.slope_at_zero * a  # weight on the kernel of |v><v|
+    return np.sum(term_img * overlaps + term_ker * (1.0 - overlaps), axis=0)
 
 
 def max_divergence_functional(
@@ -377,8 +370,7 @@ def max_divergence_functional(
             f"generator {f.name!r} has f'(0+) = -inf; M(X) is infinite off full rank"
         )
     rng = rng_for(budget.seed)
-    _, eigvecs = np.linalg.eigh(x.matrix)
-    candidates = [eigvecs]
+    candidates = [x.spectral.v]
     if budget.n_random > 0:
         raw = rng.standard_normal((x.dim, budget.n_random)) + 1j * rng.standard_normal(
             (x.dim, budget.n_random)
@@ -621,17 +613,7 @@ def rank_two_mixture(
     _check_lambda(lam)
     if transition_probability(p, q) >= tols.tol_num:
         raise ParameterError("mixture requires orthogonal projections")
-    mu = 1.0 - lam
-    p_mat, q_mat = p.matrix, q.matrix
-    matrix = hermitian_part(lam * p_mat + mu * q_mat)
-    clusters = [SpectralCluster(mu, q_mat, 1), SpectralCluster(lam, p_mat, 1)]
-    dim = p.dim
-    if dim > 2:
-        rest = np.eye(dim, dtype=complex) - p_mat - q_mat
-        clusters.append(SpectralCluster(0.0, hermitian_part(rest), dim - 2))
-    support = p_mat + q_mat
-    spectral = SpectralDecomposition(dim=dim, clusters=tuple(clusters), support=hermitian_part(support))
-    return DensityState(matrix=matrix, spectral=spectral)
+    return DensityState.from_orthonormal([1.0 - lam, lam], [q.vector, p.vector])
 
 
 def probe_transitions_via_divergence(
@@ -655,25 +637,27 @@ def probe_transitions_via_divergence(
     if kind not in ("bregman", "jensen"):
         raise ParameterError(f"kind must be 'bregman' or 'jensen', got {kind!r}")
     n = len(family)
+    states = [p.to_state(tols) for p in family]
     values = np.eye(n)
     for a in range(n):
         for b in range(n):
             if a == b:
                 continue
             if kind == "jensen":
-                j = jensen(f, family[a].to_state(tols), family[b].to_state(tols), tols=tols)
+                j = jensen(f, states[a], states[b], tols=tols)
                 values[a, b] = transition_from_jensen(f, j, tols=tols)
             elif f.finite_zero_slope:
                 h = bregman_rank_one_pair(f, family[a], family[b], tols=tols)
                 values[a, b] = transition_from_bregman(f, h, tols=tols)
             else:
-                values[a, b] = _transition_via_rank_two(f, family[a], family[b], lam, tols)
+                values[a, b] = _transition_via_rank_two(f, family[a], states[a], family[b], lam, tols)
     return TransitionTable(values=values)
 
 
 def _transition_via_rank_two(
     f: NormalizedGenerator,
     r: RankOneProjection,
+    r_state: DensityState,
     p: RankOneProjection,
     lam: float,
     tols: Tolerances,
@@ -684,7 +668,7 @@ def _transition_via_rank_two(
     residue = r.vector - overlap * p.vector
     q = RankOneProjection.from_vector(residue)
     mixture = rank_two_mixture(lam, p, q, tols=tols)
-    h = bregman(f, r.to_state(tols), mixture, tols=tols)
+    h = bregman(f, r_state, mixture, tols=tols)
     return transition_from_bregman_rank_two(f, lam, h, tols=tols)
 
 

@@ -41,6 +41,7 @@ from .preserver import (
     wigner_probes,
     wigner_reconstruct,
     SymmetryOp,
+    TransitionTable,
 )
 from .sampling import haar_unitary, random_pure, random_state, rng_for
 
@@ -221,6 +222,8 @@ def _suite_preserver(
     report: RunReport, dims, generators: dict[str, NormalizedGenerator], seed: int, tols: Tolerances
 ) -> None:
     lam_grid = np.linspace(0.02, 0.48, 12)
+    probes = wigner_probes(max(dims))
+    direct = TransitionTable.direct(probes)
 
     for label, gen in generators.items():
         devs_j, devs_b, devs_r2, devs_spec = [], [], [], []
@@ -234,14 +237,8 @@ def _suite_preserver(
                 if gen.finite_zero_slope:
                     h_val = bregman_rank_one_pair(gen, p, q, tols=tols)
                     devs_b.append(abs(transition_from_bregman(gen, h_val, tols=tols) - truth))
-        recovered = probe_transitions_via_divergence(gen, wigner_probes(max(dims)), "bregman", tols=tols)
-        direct = np.eye(len(wigner_probes(max(dims))))
-        probes = wigner_probes(max(dims))
-        for a in range(len(probes)):
-            for b in range(len(probes)):
-                if a != b:
-                    direct[a, b] = transition_probability(probes[a], probes[b])
-        devs_r2.append(float(np.max(np.abs(recovered.values - direct))))
+        recovered = probe_transitions_via_divergence(gen, probes, "bregman", tols=tols)
+        devs_r2.append(recovered.max_deviation(direct))
         for lam in lam_grid:
             delta = gen.slope(1.0 - lam) - gen.slope(lam)
             devs_spec.append(abs(recover_rank_two_spectrum(gen, delta, tols=tols) - lam))

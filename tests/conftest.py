@@ -1,10 +1,15 @@
-"""Shared helpers for the test suite: seeded sampling shortcuts."""
+"""Shared helpers for the test suite: seeded sampling shortcuts and the hypothesis profile."""
 
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import settings
 
 from statediv import DensityState, RankOneProjection, haar_unitary
+
+# Property tests draw a fixed sequence of examples on every run.
+settings.register_profile("statediv", derandomize=True, max_examples=100, deadline=None, database=None)
+settings.load_profile("statediv")
 
 
 def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:

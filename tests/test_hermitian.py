@@ -1,17 +1,23 @@
+import math
+
 import numpy as np
 import pytest
 
 from statediv import (
+    DEFAULT_TOLS,
     DensityState,
     DimensionMismatchError,
     DomainError,
     RankOneProjection,
     ValidationError,
     apply_function,
+    bregman,
+    bregman_trace_form,
     decompose,
     density_state,
     haar_unitary,
     rng_for,
+    std_entropy,
     trace_on_support,
     transition_probability,
 )
@@ -88,6 +94,27 @@ class TestDecompose:
     def test_non_square_rejected(self):
         with pytest.raises(ValidationError):
             decompose(np.ones((2, 3)))
+
+
+class TestZerosBeforeClustering:
+    """eps_supp alone decides the zeros; clusters never outgrow cluster_tol."""
+
+    def test_near_zero_eigenvalue_keeps_its_kernel(self):
+        y = density_state(np.diag([1.0 - 5e-9, 5e-9, 0.0]))
+        assert y.rank == 2
+        kernel_line = density_state(np.diag([0.0, 0.0, 1.0]))
+        assert bregman(std_entropy(), kernel_line, y) == math.inf
+        assert bregman_trace_form(std_entropy(), kernel_line, y) == math.inf
+
+    def test_cluster_diameter_is_bounded(self):
+        tol = DEFAULT_TOLS.cluster_tol
+        values = 1.0 / 40 + 0.9 * tol * (np.arange(40) - 19.5)
+        dec = decompose(np.diag(values))
+        spectrum = np.sort(values)[::-1]
+        ends = np.append(dec.starts[1:], len(values))
+        assert len(dec.clusters) > 1
+        for start, end in zip(dec.starts, ends):
+            assert spectrum[start] - spectrum[end - 1] < tol
 
 
 class TestApplyFunction:
