@@ -57,7 +57,6 @@ from .jensen import (
 from .preserver import (
     PreserverOracle,
     PreserverVerification,
-    SearchBudget,
     SymmetryOp,
     TransitionTable,
     conjugation_oracle,

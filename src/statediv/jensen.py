@@ -13,9 +13,9 @@ import math
 import numpy as np
 
 from .config import DEFAULT_TOLS, Tolerances
-from .errors import DimensionMismatchError, DomainError, ParameterError
+from .errors import DomainError, ParameterError
 from .generators import GeneratorFunction, normalize
-from .hermitian import DensityState
+from .hermitian import DensityState, SpectralDecomposition, _cluster_starts, hermitian_part
 from .bregman import _check_dims, _clamp_nonneg, bregman
 
 __all__ = [
@@ -32,11 +32,26 @@ def _require_finite_at_zero(f: GeneratorFunction) -> None:
         raise DomainError(f"generator {f.name!r} has no finite limit at 0; Jensen divergence undefined")
 
 
+def _midpoint_matrix(a: DensityState, b: DensityState) -> np.ndarray:
+    """(A + B)/2 of A and B with their zeros decided."""
+    _check_dims(a, b)
+    return (a.spectral.reconstruct() + b.spectral.reconstruct()) / 2.0
+
+
 def midpoint_state(a: DensityState, b: DensityState, *, tols: Tolerances = DEFAULT_TOLS) -> DensityState:
-    """The state (A + B)/2."""
-    if a.dim != b.dim:
-        raise DimensionMismatchError(f"state dimensions differ: {a.dim} vs {b.dim}")
-    return DensityState.from_matrix((a.matrix + b.matrix) / 2.0, tols)
+    """The state (A + B)/2, built as in :func:`jensen`.
+
+    The midpoint is an intermediate: its eigenvalues are clipped at 0, not
+    snapped at eps_supp, so an eigenvalue that holds half of a small
+    eigenvalue of A or B keeps A and B inside its support.
+    """
+    matrix = hermitian_part(_midpoint_matrix(a, b))
+    w, v = np.linalg.eigh(matrix)
+    w = np.maximum(w[::-1], 0.0)
+    spectral = SpectralDecomposition(
+        w=w, v=np.ascontiguousarray(v[:, ::-1]), starts=_cluster_starts(w, tols.cluster_tol)
+    )
+    return DensityState(matrix=matrix, spectral=spectral)
 
 
 def jensen(
@@ -53,8 +68,7 @@ def jensen(
     """
     f = normalize(f)
     _require_finite_at_zero(f)
-    _check_dims(a, b)
-    mid = np.linalg.eigvalsh((a.spectral.reconstruct() + b.spectral.reconstruct()) / 2.0)
+    mid = np.linalg.eigvalsh(_midpoint_matrix(a, b))
     spectra = (a.spectral.w, b.spectral.w, np.maximum(mid, 0.0))
     fa, fb, fm = (float(f.values(w).sum()) for w in spectra)
     return _clamp_nonneg(0.5 * (fa + fb) - fm, tols.tol_num)

@@ -16,12 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bregman import (
-    bregman,
-    bregman_rank_one_pair,
-    rank_two_offset,
-    _check_lambda,
-)
+from .bregman import bregman, rank_two_offset, _check_lambda
 from .config import DEFAULT_TOLS, Tolerances
 from .errors import (
     DegenerateProbeError,
@@ -33,11 +28,7 @@ from .errors import (
     ValidationError,
 )
 from .generators import GeneratorFunction, NormalizedGenerator, normalize
-from .hermitian import (
-    DensityState,
-    RankOneProjection,
-    transition_probability,
-)
+from .hermitian import DensityState, RankOneProjection, transition_probability
 from .jensen import jensen, jensen_max_constant, jensen_rank_one
 from .sampling import random_pure, random_state, rng_for
 
@@ -53,7 +44,6 @@ __all__ = [
     "transition_from_jensen",
     "transition_from_bregman_rank_two",
     "recover_rank_two_spectrum",
-    "SearchBudget",
     "max_divergence_functional",
     "pure_reference_value",
     "is_pure_by_max",
@@ -83,6 +73,8 @@ class SymmetryOp:
 
     Acts on a state A as U A U* when unitary and as U conj(A) U* when
     antiunitary (entrywise conjugation happens before the unitary).
+    ``SymmetryOp(...)`` trusts its matrix to be unitary; ``from_matrix``
+    checks unitarity within ``tol_num``.
     """
 
     matrix: np.ndarray
@@ -209,12 +201,30 @@ def diagonal_oracle(dim: int, tols: Tolerances = DEFAULT_TOLS) -> PreserverOracl
 # Transition probability and spectrum recovery from divergence values
 
 
+def _checked(name: str, value, low: float, high: float, tols: Tolerances) -> np.ndarray:
+    """``value`` (a float or an array) as an array; ``RangeError`` if an entry
+    lies outside [low, high] by more than tol_num * max(1, |low|, |high|)."""
+    value = np.asarray(value, dtype=float)
+    slack = tols.tol_num * max(1.0, abs(low), abs(high))
+    outside = (value < low - slack) | (value > high + slack)
+    if outside.any():
+        raise RangeError(
+            f"{name} {float(value[outside][0])!r} outside the admissible range [{low!r}, {high!r}]"
+        )
+    return value
+
+
+def _float_or_array(t: np.ndarray) -> "float | np.ndarray":
+    return float(t) if t.ndim == 0 else t
+
+
 def transition_from_bregman(
-    f: GeneratorFunction, h: float, *, tols: Tolerances = DEFAULT_TOLS
-) -> float:
+    f: GeneratorFunction, h: "float | np.ndarray", *, tols: Tolerances = DEFAULT_TOLS
+) -> "float | np.ndarray":
     """Invert h = (1 - p)(f'(1) - f'(0)) for generators with finite f'(0).
 
-    For infinite f'(0) the rank-one Bregman value is 0 or +inf and carries no
+    ``h`` may be an array of values; the result is then an array too.  For
+    infinite f'(0) the rank-one Bregman value is 0 or +inf and carries no
     transition information; use the rank-two route instead.
     """
     f = normalize(f)
@@ -224,10 +234,8 @@ def transition_from_bregman(
             "transition_from_bregman_rank_two instead"
         )
     span = f.slope(1.0) - f.slope_at_zero
-    slack = tols.tol_num * max(1.0, span)
-    if h < -slack or h > span + slack:
-        raise RangeError(f"Bregman value {h!r} outside the admissible range [0, {span!r}]")
-    return min(max(1.0 - h / span, 0.0), 1.0)
+    h = _checked("Bregman value", h, 0.0, span, tols)
+    return _float_or_array(np.clip(1.0 - h / span, 0.0, 1.0))
 
 
 def transition_from_jensen(
@@ -240,10 +248,7 @@ def transition_from_jensen(
     """Invert the rank-one Jensen closed form by monotone bisection in p."""
     f = normalize(f)
     m_f = jensen_max_constant(f)
-    slack = tols.tol_num * max(1.0, m_f)
-    if j < -slack or j > m_f + slack:
-        raise RangeError(f"Jensen value {j!r} outside the admissible range [0, {m_f!r}]")
-    j = min(max(j, 0.0), m_f)
+    j = min(max(float(_checked("Jensen value", j, 0.0, m_f, tols)), 0.0), m_f)
     lo, hi = 0.0, 1.0  # jensen_rank_one decreases from M_f at p=0 to 0 at p=1
     while hi - lo > bisect_tol:
         mid = 0.5 * (lo + hi)
@@ -255,12 +260,13 @@ def transition_from_jensen(
 
 
 def transition_from_bregman_rank_two(
-    f: GeneratorFunction, lam: float, value: float, *, tols: Tolerances = DEFAULT_TOLS
-) -> float:
+    f: GeneratorFunction, lam: float, value: "float | np.ndarray", *, tols: Tolerances = DEFAULT_TOLS
+) -> "float | np.ndarray":
     """Invert H_f(R, lam P + mu Q) = -f'(lam) t - f'(mu)(1 - t) + C for t = tr RP.
 
     This is the probing device for generators with f'(0+) = -inf, where
-    rank-one pairs only yield 0 or +inf.
+    rank-one pairs only yield 0 or +inf.  ``value`` may be an array of values;
+    the result is then an array too.
     """
     f = normalize(f)
     _check_lambda(lam)
@@ -269,13 +275,8 @@ def transition_from_bregman_rank_two(
     offset = rank_two_offset(f, lam)
     low = -slope_mu + offset  # value at R = Q
     high = -slope_lam + offset  # value at R = P
-    slack = tols.tol_num * max(1.0, abs(low), abs(high))
-    if value < low - slack or value > high + slack:
-        raise RangeError(
-            f"rank-two Bregman value {value!r} outside the admissible range [{low!r}, {high!r}]"
-        )
-    t = (value - offset + slope_mu) / (slope_mu - slope_lam)
-    return min(max(t, 0.0), 1.0)
+    value = _checked("rank-two Bregman value", value, low, high, tols)
+    return _float_or_array(np.clip((value - offset + slope_mu) / (slope_mu - slope_lam), 0.0, 1.0))
 
 
 def recover_rank_two_spectrum(
@@ -320,16 +321,6 @@ def recover_rank_two_spectrum(
 # Max-divergence functional and purity detection
 
 
-@dataclass(frozen=True)
-class SearchBudget:
-    """Budget for the max-divergence search: candidates, refinement, seed."""
-
-    n_random: int = 512
-    refine_steps: int = 50
-    seed: int = 0
-    initial_step: float = 0.3
-
-
 def _pure_divergence_values(
     f: NormalizedGenerator, x: DensityState, candidates: np.ndarray
 ) -> np.ndarray:
@@ -347,72 +338,36 @@ def _pure_divergence_values(
 
 
 def max_divergence_functional(
-    f: GeneratorFunction,
-    x: DensityState,
-    budget: SearchBudget = SearchBudget(),
-    *,
-    tols: Tolerances = DEFAULT_TOLS,
+    f: GeneratorFunction, x: DensityState, *, tols: Tolerances = DEFAULT_TOLS
 ) -> float:
-    """Searched lower bound on M(X) = max over states D of H_f(X, D).
+    """Lower bound on M(X) = max over states D of H_f(X, D): the maximum over pure D.
 
     Only meaningful for generators with finite f'(0) (otherwise the maximum is
-    +inf as soon as X is not full-rank).  The candidate set is documented and
-    deterministic: eigenvector projections of X, ``n_random`` seeded pure
-    states, and seeded local refinement of the best candidate on the unit
-    sphere.  H_f(X, .) restricted to pure states is linear in the overlap
-    vector, so the eigenvector candidates already attain the pure-state
-    maximum; the random and refinement stages guard the implementation rather
-    than the mathematics.
+    +inf as soon as X is not full-rank).  H_f(X, .) restricted to pure states
+    is linear in the overlap vector (p_k) = (|<u_k, v>|^2), a point of the
+    probability simplex, so its maximum sits at a vertex: the largest value
+    over the eigenvectors u_k of X.
     """
     f = normalize(f)
     if not f.finite_zero_slope:
         raise ParameterError(
             f"generator {f.name!r} has f'(0+) = -inf; M(X) is infinite off full rank"
         )
-    rng = rng_for(budget.seed)
-    candidates = [x.spectral.v]
-    if budget.n_random > 0:
-        raw = rng.standard_normal((x.dim, budget.n_random)) + 1j * rng.standard_normal(
-            (x.dim, budget.n_random)
-        )
-        candidates.append(raw / np.linalg.norm(raw, axis=0))
-    pool = np.concatenate(candidates, axis=1)
-    values = _pure_divergence_values(f, x, pool)
-    best_idx = int(np.argmax(values))
-    best_value = float(values[best_idx])
-    best_vec = pool[:, best_idx]
-
-    step = budget.initial_step
-    for _ in range(budget.refine_steps):
-        trial = best_vec + step * (rng.standard_normal(x.dim) + 1j * rng.standard_normal(x.dim))
-        trial /= np.linalg.norm(trial)
-        value = float(_pure_divergence_values(f, x, trial[:, None])[0])
-        if value > best_value:
-            best_value, best_vec = value, trial
-        else:
-            step *= 0.7
-    return best_value
+    return float(np.max(_pure_divergence_values(f, x, x.spectral.v)))
 
 
-def pure_reference_value(
-    f: GeneratorFunction,
-    dim: int,
-    budget: SearchBudget = SearchBudget(),
-    *,
-    tols: Tolerances = DEFAULT_TOLS,
-) -> float:
+def pure_reference_value(f: GeneratorFunction, dim: int, *, tols: Tolerances = DEFAULT_TOLS) -> float:
     """M on a rank-one projection; the same for every pure state by unitary invariance."""
     basis_vector = np.zeros(dim, dtype=complex)
     basis_vector[0] = 1.0
     pure = RankOneProjection.from_vector(basis_vector).to_state(tols)
-    return max_divergence_functional(f, pure, budget, tols=tols)
+    return max_divergence_functional(f, pure, tols=tols)
 
 
 def is_pure_by_max(
     f: GeneratorFunction,
     x: DensityState,
     reference_pure_value: float,
-    budget: SearchBudget = SearchBudget(),
     *,
     pure_margin: float = PURE_MARGIN,
     tols: Tolerances = DEFAULT_TOLS,
@@ -422,7 +377,7 @@ def is_pure_by_max(
     ``reference_pure_value`` must come from ``pure_reference_value`` (or any
     rank-one projection) with the same generator and dimension.
     """
-    value = max_divergence_functional(f, x, budget, tols=tols)
+    value = max_divergence_functional(f, x, tols=tols)
     return abs(value - reference_pure_value) < pure_margin
 
 
@@ -487,18 +442,16 @@ def wigner_reconstruct(
             raise DimensionMismatchError(
                 f"probe image dimension {img.dim} does not match probe family dimension {dim}"
             )
-    probes = wigner_probes(dim)
     labels = probe_labels(dim)
 
-    for a in range(len(probes)):
-        for b in range(a + 1, len(probes)):
-            want = transition_probability(probes[a], probes[b])
-            got = transition_probability(images[a], images[b])
-            if abs(want - got) > wigner_tol:
-                raise NotAPreserverError(
-                    f"probe pair ({labels[a]}, {labels[b]}): image transition {got:.9f} "
-                    f"differs from {want:.9f} by {abs(want - got):.3e} > {wigner_tol:.1e}"
-                )
+    want, got = _gram(wigner_probes(dim)), _gram(images)
+    offending = np.argwhere(np.triu(np.abs(want - got) > wigner_tol, 1))
+    if len(offending):
+        a, b = offending[0]  # row-major: the first pair in (a, b > a) loop order
+        raise NotAPreserverError(
+            f"probe pair ({labels[a]}, {labels[b]}): image transition {got[a, b]:.9f} "
+            f"differs from {want[a, b]:.9f} by {abs(want[a, b] - got[a, b]):.3e} > {wigner_tol:.1e}"
+        )
 
     columns = np.zeros((dim, dim), dtype=complex)
     psi1 = images[0].vector
@@ -590,12 +543,22 @@ class TransitionTable:
 
     @classmethod
     def direct(cls, family: Sequence[RankOneProjection]) -> "TransitionTable":
-        n = len(family)
-        values = np.eye(n)
-        for a in range(n):
-            for b in range(a + 1, n):
-                values[a, b] = values[b, a] = transition_probability(family[a], family[b])
-        return cls(values=values)
+        return cls(values=_gram(family))
+
+
+def _gram(family: Sequence[RankOneProjection]) -> np.ndarray:
+    """G = |Phi* Phi|^2 for the family's vectors stacked into Phi: G[a, b] = tr(P_a P_b).
+
+    One matrix product; entries are clamped to 1 and the diagonal is exactly 1.
+    """
+    dims = sorted({p.dim for p in family})
+    if len(dims) > 1:
+        raise DimensionMismatchError(f"projection dimensions differ: {dims}")
+    phi = np.stack([p.vector for p in family], axis=1)
+    inner = phi.conj().T @ phi
+    gram = np.minimum(inner.real**2 + inner.imag**2, 1.0)
+    np.fill_diagonal(gram, 1.0)
+    return gram
 
 
 def rank_two_mixture(
@@ -616,6 +579,25 @@ def rank_two_mixture(
     return DensityState.from_orthonormal([1.0 - lam, lam], [q.vector, p.vector])
 
 
+def _pair_divergences(
+    f: NormalizedGenerator, p: np.ndarray, kind: str, lam: float, tols: Tolerances
+) -> np.ndarray:
+    """Divergence values of pure pairs with transition probabilities ``p``, from closed forms.
+
+    * Jensen: ``jensen_rank_one``.
+    * Bregman, finite f'(0): (1 - p)(f'(1) - f'(0)), and 0 where
+      1 - p < tol_num, as in ``bregman_rank_one_pair``.
+    * Bregman, infinite f'(0): H_f(R, lam P + mu Q) = -f'(lam) p - f'(mu)(1 - p) + c,
+      as in ``bregman_rank_one_vs_rank_two``, with Q the orthocomplement of P
+      inside span(R, P), so that tr RP = p and tr RQ = 1 - p.
+    """
+    if kind == "jensen":
+        return np.array([jensen_rank_one(f, x, tols=tols) for x in p])
+    if f.finite_zero_slope:
+        return np.where(1.0 - p < tols.tol_num, 0.0, (1.0 - p) * (f.slope(1.0) - f.slope_at_zero))
+    return -f.slope(lam) * p - f.slope(1.0 - lam) * (1.0 - p) + rank_two_offset(f, lam)
+
+
 def probe_transitions_via_divergence(
     f: GeneratorFunction,
     family: Sequence[RankOneProjection],
@@ -627,49 +609,33 @@ def probe_transitions_via_divergence(
     """Recover the pairwise transition table of a projection family from
     divergence values alone.
 
-    Routes: Jensen values inverted by monotone bisection; rank-one Bregman
-    values inverted linearly (finite f'(0)); for infinite f'(0) each pair
-    (R, P) is probed against the rank-two mixture lam P + (1 - lam) Q, with Q
-    the orthocomplement of P inside span(R, P) -- rank-one Bregman values are
-    0/inf there and carry no transition information.
+    The family's vectors are stacked into Phi and the Gram matrix
+    G = |Phi* Phi|^2 is formed once.  Each unique pair (upper triangle) gets
+    its divergence value from the closed form of its route, which is inverted
+    with the matching ``transition_from_*`` function and mirrored into the
+    lower triangle; no state, mixture or eigendecomposition is built.  Routes:
+    Jensen values inverted by monotone bisection, one per pair; rank-one
+    Bregman values inverted linearly (finite f'(0)); for infinite f'(0) each
+    pair (R, P) is probed against the rank-two mixture lam P + (1 - lam) Q,
+    with Q the orthocomplement of P inside span(R, P) -- rank-one Bregman
+    values are 0/inf there and carry no transition information.  A pair with
+    1 - tr RP < tol_num has no such Q and is taken as transition 1.
     """
     f = normalize(f)
     if kind not in ("bregman", "jensen"):
         raise ParameterError(f"kind must be 'bregman' or 'jensen', got {kind!r}")
-    n = len(family)
-    states = [p.to_state(tols) for p in family]
-    values = np.eye(n)
-    for a in range(n):
-        for b in range(n):
-            if a == b:
-                continue
-            if kind == "jensen":
-                j = jensen(f, states[a], states[b], tols=tols)
-                values[a, b] = transition_from_jensen(f, j, tols=tols)
-            elif f.finite_zero_slope:
-                h = bregman_rank_one_pair(f, family[a], family[b], tols=tols)
-                values[a, b] = transition_from_bregman(f, h, tols=tols)
-            else:
-                values[a, b] = _transition_via_rank_two(f, family[a], states[a], family[b], lam, tols)
-    return TransitionTable(values=values)
-
-
-def _transition_via_rank_two(
-    f: NormalizedGenerator,
-    r: RankOneProjection,
-    r_state: DensityState,
-    p: RankOneProjection,
-    lam: float,
-    tols: Tolerances,
-) -> float:
-    overlap = np.vdot(p.vector, r.vector)
-    if 1.0 - abs(overlap) ** 2 < tols.tol_num:
-        return 1.0
-    residue = r.vector - overlap * p.vector
-    q = RankOneProjection.from_vector(residue)
-    mixture = rank_two_mixture(lam, p, q, tols=tols)
-    h = bregman(f, r_state, mixture, tols=tols)
-    return transition_from_bregman_rank_two(f, lam, h, tols=tols)
+    rows, cols = np.triu_indices(len(family), 1)
+    p = _gram(family)[rows, cols]
+    values = _pair_divergences(f, p, kind, lam, tols)
+    if kind == "jensen":
+        t = [transition_from_jensen(f, j, tols=tols) for j in values]
+    elif f.finite_zero_slope:
+        t = transition_from_bregman(f, values, tols=tols)
+    else:
+        t = np.where(1.0 - p < tols.tol_num, 1.0, transition_from_bregman_rank_two(f, lam, values, tols=tols))
+    table = np.eye(len(family))
+    table[rows, cols] = table[cols, rows] = t
+    return TransitionTable(values=table)
 
 
 # ---------------------------------------------------------------------------
@@ -689,8 +655,10 @@ class PreserverVerification:
     """Outcome of empirically testing a map against the preserver theorems.
 
     A genuine preserver shows (a) vanishing divergence deviation on sampled
-    pairs, (b) a reconstructible implementing operator, and (c) vanishing
-    residual between the map and conjugation by that operator.
+    pairs, (b) a reconstructible implementing operator, (c) vanishing
+    residual between the map and conjugation by that operator, and (d) when
+    the probe stage ran, a probe-image transition table recovered from
+    divergence values within ``wigner_tol`` of the probes' own table.
     """
 
     kind: str
@@ -700,6 +668,7 @@ class PreserverVerification:
     seed: int
     sample_size: int
     divergence_tol: float
+    wigner_tol: float
     max_divergence_deviation: float
     probe_images_rank_one: bool
     max_transition_recovery_deviation: float | None
@@ -727,6 +696,10 @@ class PreserverVerification:
             and self.reconstructed
             and self.max_probe_residual <= self.divergence_tol
             and self.max_state_residual <= self.divergence_tol
+            and (
+                self.max_transition_recovery_deviation is None
+                or self.max_transition_recovery_deviation <= self.wigner_tol
+            )
         )
 
     def to_dict(self) -> dict:
@@ -738,6 +711,7 @@ class PreserverVerification:
             "seed": self.seed,
             "sample_size": self.sample_size,
             "divergence_tol": float(self.divergence_tol),
+            "wigner_tol": float(self.wigner_tol),
             "max_divergence_deviation": float(self.max_divergence_deviation),
             "probe_images_rank_one": bool(self.probe_images_rank_one),
             "max_transition_recovery_deviation": (
@@ -773,7 +747,7 @@ def verify_preserver(
     Measures the worst divergence deviation |D(phi A, phi B) - D(A, B)| over
     seeded sampled pairs (full-rank and pure), recovers the probe-image
     transition table from divergence values alone and compares it with the
-    original table, reconstructs the implementing operator from the probe
+    probes' direct table, reconstructs the implementing operator from the probe
     images, and measures how far the map is from conjugation by it.
     """
     f = normalize(f)
@@ -821,9 +795,8 @@ def verify_preserver(
 
     if images_rank_one:
         if probe_via_divergence:
-            recovered_original = probe_transitions_via_divergence(f, probes, kind, tols=tols)
-            recovered_images = probe_transitions_via_divergence(f, probe_images, kind, tols=tols)
-            transition_recovery_dev = recovered_images.max_deviation(recovered_original)
+            recovered = probe_transitions_via_divergence(f, probe_images, kind, tols=tols)
+            transition_recovery_dev = recovered.max_deviation(TransitionTable.direct(probes))
         try:
             symmetry = wigner_reconstruct(
                 probe_images, wigner_tol=wigner_tol, reconstruct_tol=reconstruct_tol, tols=tols
@@ -847,6 +820,7 @@ def verify_preserver(
         seed=seed,
         sample_size=sample_size,
         divergence_tol=divergence_tol,
+        wigner_tol=wigner_tol,
         max_divergence_deviation=max_div_dev,
         probe_images_rank_one=images_rank_one,
         max_transition_recovery_deviation=transition_recovery_dev,

@@ -190,6 +190,16 @@ class TestViaBregmanIdentity:
         expected = float(np.trace(diff @ diff).real)
         assert jensen_via_bregman(QUAD, a, b) == pytest.approx(expected, abs=1e-10)
 
+    def test_midpoint_eigenvalue_below_eps_supp_stays_finite(self):
+        # The midpoint eigenvalue 5.5e-11 lies below eps_supp; snapping it to 0
+        # would make A leak out of the midpoint support and give +inf.
+        a = density_state(np.diag([1.0 - 1.1e-10, 1.1e-10]))
+        b = density_state(np.diag([1.0, 0.0]))
+        assert midpoint_state(a, b).rank == 2
+        value = jensen_via_bregman(XLOGX, a, b)
+        assert math.isfinite(value)
+        assert value == pytest.approx(jensen(XLOGX, a, b), abs=1e-15)
+
     def test_pure_orthogonal_log_two(self):
         a = density_state(np.diag([1.0, 0.0]))
         b = density_state(np.diag([0.0, 1.0]))

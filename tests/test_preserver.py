@@ -1,17 +1,19 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from statediv import (
+    DEFAULT_TOLS,
     DegenerateProbeError,
+    DimensionMismatchError,
     NotAPreserverError,
     OracleError,
     ParameterError,
     PreserverOracle,
     RangeError,
     RankOneProjection,
-    SearchBudget,
     SymmetryOp,
     TransitionTable,
     ValidationError,
@@ -27,6 +29,7 @@ from statediv import (
     jensen_max_constant,
     max_divergence_functional,
     max_probe_residual,
+    normalize,
     parse_generator,
     probe_labels,
     probe_transitions_via_divergence,
@@ -48,6 +51,7 @@ from statediv import (
     wigner_probes,
     wigner_reconstruct,
 )
+from statediv.preserver import _gram, _pair_divergences
 from conftest import mixed_state_with_gap, orthogonal_pure_pair
 
 XLOGX = std_entropy()
@@ -226,13 +230,28 @@ class TestMaxDivergenceFunctional:
             d = random_state(3, rng=rng)
             assert bregman(QUAD, x, d) <= best + 1e-9
 
-    def test_deterministic_given_budget(self):
+    def test_deterministic(self):
         rng = rng_for(173)
         x = random_state(3, rng=rng)
-        budget = SearchBudget(n_random=64, refine_steps=10, seed=5)
-        assert max_divergence_functional(P15, x, budget) == max_divergence_functional(
-            P15, x, budget
-        )
+        assert max_divergence_functional(P15, x) == max_divergence_functional(P15, x)
+
+    @pytest.mark.parametrize("f", FINITE_GENERATORS, ids=lambda f: f.name)
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    def test_closed_form_bounds_random_pure_candidates(self, f, dim):
+        # H_f(X, .) on pure states is linear on the overlap simplex, so no pure
+        # state beats the best eigenvector of X.
+        rng = rng_for(174 + dim)
+        basis = haar_unitary(dim, rng)
+        pure = RankOneProjection.from_vector(basis[:, 0])
+        states = [
+            random_state(dim, rng=rng),
+            pure.to_state(),
+            rank_two_mixture(0.25, pure, RankOneProjection.from_vector(basis[:, 1])),
+        ]
+        candidates = [random_pure(dim, rng).to_state() for _ in range(512)]
+        for x in states:
+            best = max_divergence_functional(f, x)
+            assert max(bregman(f, x, c) for c in candidates) <= best + 1e-12
 
 
 class TestPurityDetection:
@@ -345,6 +364,15 @@ class TestWignerReconstruct:
         with pytest.raises(NotAPreserverError, match="e1"):
             wigner_reconstruct(images)
 
+    def test_gate_names_first_pair_in_loop_order(self):
+        # e3 mapped onto e2 breaks (e2, e3) and the pairs of e3 with the
+        # superpositions; (e2, e3) comes first with a < b scanned row by row.
+        probes = wigner_probes(3)
+        images = list(probes)
+        images[2] = probes[1]
+        with pytest.raises(NotAPreserverError, match=r"probe pair \(e2, e3\)"):
+            wigner_reconstruct(images)
+
     def test_degenerate_phase_probe(self):
         # Bypass the transition gate with a huge tolerance; the phase fix then
         # has nothing to hold on to and must flag degeneracy.
@@ -372,6 +400,27 @@ class TestTransitionsViaDivergence:
         recovered = probe_transitions_via_divergence(f, probes, kind)
         assert recovered.max_deviation(direct) < 1e-6
 
+    @pytest.mark.parametrize("f", ALL_GENERATORS, ids=lambda f: f.name)
+    @pytest.mark.parametrize("kind", ["bregman", "jensen"])
+    @pytest.mark.parametrize("dim", [8, 16])
+    def test_recovers_direct_table_at_larger_dim(self, f, kind, dim):
+        probes = wigner_probes(dim)
+        direct = TransitionTable.direct(probes)
+        recovered = probe_transitions_via_divergence(f, probes, kind)
+        assert recovered.max_deviation(direct) < 1e-6
+
+    @pytest.mark.parametrize("f", ALL_GENERATORS, ids=lambda f: f.name)
+    def test_near_identical_pair_is_transition_one(self, f):
+        # 1 - tr PQ = 1e-10 < tol_num: the pair counts as identical, as in
+        # bregman_rank_one_pair (finite f'(0)) and on the rank-two route.
+        angle = 1e-5
+        family = [
+            RankOneProjection.from_vector([1.0, 0.0]),
+            RankOneProjection.from_vector([math.cos(angle), math.sin(angle)]),
+        ]
+        recovered = probe_transitions_via_divergence(f, family, "bregman")
+        assert recovered.values[0, 1] == 1.0
+
     def test_case_one_uses_rank_two_probing(self):
         # xlogx rank-one Bregman values are 0/inf; the recovered table must
         # still match, which exercises the mixture device.
@@ -380,6 +429,56 @@ class TestTransitionsViaDivergence:
         direct = TransitionTable.direct(family)
         recovered = probe_transitions_via_divergence(XLOGX, family, "bregman")
         assert recovered.max_deviation(direct) < 1e-8
+
+
+def _family(name, dim):
+    if name == "probes":
+        return wigner_probes(dim)
+    rng = rng_for(240 + dim)
+    return [random_pure(dim, rng) for _ in range(8)]
+
+
+class TestClosedFormPairValues:
+    """The probe stage's closed-form pair values against the general routines."""
+
+    @pytest.mark.parametrize("f", ALL_GENERATORS, ids=lambda f: f.name)
+    @pytest.mark.parametrize("kind", ["bregman", "jensen"])
+    @pytest.mark.parametrize("family", ["probes", "random"])
+    @pytest.mark.parametrize("dim", [3, 8, 16])
+    def test_matches_general_routine(self, f, kind, family, dim):
+        lam = 0.25
+        probes = _family(family, dim)
+        rows, cols = np.triu_indices(len(probes), 1)
+        p = _gram(probes)[rows, cols]
+        closed = _pair_divergences(normalize(f), p, kind, lam, DEFAULT_TOLS)
+        checked = 0
+        for a, b, value in zip(rows, cols, closed):
+            r, q = probes[a], probes[b]
+            if kind == "jensen":
+                general = jensen(f, r.to_state(), q.to_state())
+            elif f.finite_zero_slope:
+                general = bregman(f, r.to_state(), q.to_state())
+            else:
+                overlap = np.vdot(q.vector, r.vector)
+                if 1.0 - abs(overlap) ** 2 < DEFAULT_TOLS.tol_num:
+                    continue  # no orthocomplement: the stage takes transition 1
+                residue = RankOneProjection.from_vector(r.vector - overlap * q.vector)
+                general = bregman(f, r.to_state(), rank_two_mixture(lam, q, residue))
+            assert value == pytest.approx(general, abs=1e-10)
+            checked += 1
+        assert checked > 0
+
+    def test_gram_matches_transition_probability(self):
+        probes = _family("random", 5)
+        gram = _gram(probes)
+        for a, p in enumerate(probes):
+            for b, q in enumerate(probes):
+                want = 1.0 if a == b else transition_probability(p, q)
+                assert gram[a, b] == pytest.approx(want, abs=1e-15)
+
+    def test_gram_rejects_mixed_dimensions(self):
+        with pytest.raises(DimensionMismatchError):
+            TransitionTable.direct(wigner_probes(2) + wigner_probes(3))
 
 
 class TestVerifyPreserver:
@@ -422,6 +521,20 @@ class TestVerifyPreserver:
         outcome = verify_preserver(P15, conjugation_oracle(op), "bregman", sample_size=4, seed=7)
         payload = json.dumps(outcome.to_dict())
         assert "antiunitary" in payload
+
+    def test_recovery_deviation_enters_verdict(self):
+        rng = rng_for(224)
+        op = SymmetryOp(matrix=haar_unitary(3, rng), antiunitary=False)
+        outcome = verify_preserver(QUAD, conjugation_oracle(op), "bregman", sample_size=4, seed=8)
+        assert outcome.passed
+        assert outcome.to_dict()["wigner_tol"] == outcome.wigner_tol
+        off = dataclasses.replace(
+            outcome, max_transition_recovery_deviation=2.0 * outcome.wigner_tol
+        )
+        assert not off.passed
+        assert not off.to_dict()["passed"]
+        skipped = dataclasses.replace(outcome, max_transition_recovery_deviation=None)
+        assert skipped.passed
 
     def test_bad_kind_rejected(self):
         rng = rng_for(223)

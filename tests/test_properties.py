@@ -23,6 +23,7 @@ from statediv import (
     haar_unitary,
     jensen,
     jensen_max_constant,
+    jensen_via_bregman,
     parse_generator,
     rng_for,
     support_contained,
@@ -115,6 +116,13 @@ def test_jensen_symmetric_and_bounded(pair):
         value = jensen(f, x, y)
         assert value == pytest.approx(jensen(f, y, x), abs=1e-12)
         assert value <= jensen_max_constant(f) + 1e-9
+
+
+@given(state_pairs())
+def test_jensen_via_bregman_agrees(pair):
+    x, y, _ = pair
+    for f in GENERATORS:
+        assert jensen_via_bregman(f, x, y) == pytest.approx(jensen(f, x, y), abs=1e-8)
 
 
 @given(state_pairs())
