@@ -43,14 +43,13 @@ from .generators import parse_generator
 from .jensen import jensen
 from .preserver import (
     PreserverOracle,
+    _wigner_fit,
     conjugation_oracle,
     depolarizing_oracle,
     diagonal_oracle,
-    max_probe_residual,
     transpose_oracle,
     verify_preserver,
     wigner_probes,
-    wigner_reconstruct,
 )
 from .sampling import haar_unitary, random_pure, random_state, rng_for
 from .suites import DEFAULT_DIMS, DEFAULT_GENERATORS, SUITE_NAMES, run_suite
@@ -263,8 +262,7 @@ def _cmd_probes(args: argparse.Namespace, tols: Tolerances) -> int:
 
 def _cmd_reconstruct(args: argparse.Namespace, tols: Tolerances) -> int:
     images = files.read_probe_images(args.probes, tols)
-    op = wigner_reconstruct(images, tols=tols)
-    residual = max_probe_residual(op, images)
+    op, residual = _wigner_fit(images, tols=tols)
     files.write_symmetry(args.output, op)
     report = {
         "probes": args.probes,

@@ -22,7 +22,7 @@ import numpy as np
 from .config import DEFAULT_TOLS, Tolerances
 from .errors import FileFormatError, ValidationError
 from .generators import parse_generator
-from .hermitian import DensityState, RankOneProjection
+from .hermitian import DensityState, RankOneProjection, hermitian_part
 from .preserver import SymmetryOp, probe_labels
 
 __all__ = [
@@ -73,7 +73,9 @@ def _payload_matrix(obj: dict, dim: int, context: str) -> np.ndarray:
         raise FileFormatError(
             f"{context}: expected {dim}x{dim} re/im arrays, got {re.shape} and {im.shape}"
         )
-    return re + 1j * im
+    matrix = np.empty((dim, dim), dtype=complex)
+    matrix.real, matrix.imag = re, im  # re + 1j * im would turn some -0.0 into 0.0
+    return matrix
 
 
 def _load_json(path: "str | Path") -> dict:
@@ -131,7 +133,8 @@ def read_symmetry(path: "str | Path", tols: Tolerances = DEFAULT_TOLS) -> Symmet
 
 
 def write_probe_images(path: "str | Path", images: Sequence[RankOneProjection]) -> None:
-    """Write probe images in canonical probe order, labeled."""
+    """Write probe images in canonical probe order, labeled, each as the
+    Hermitian part of its matrix (what reading it back yields)."""
     dim = images[0].dim if images else 0
     labels = probe_labels(dim)
     if len(images) != len(labels):
@@ -139,7 +142,7 @@ def write_probe_images(path: "str | Path", images: Sequence[RankOneProjection]) 
     payload = {
         "dim": dim,
         "images": [
-            {"label": label, **_matrix_payload(image.matrix)}
+            {"label": label, **_matrix_payload(hermitian_part(image.matrix))}
             for label, image in zip(labels, images)
         ],
     }
@@ -150,7 +153,8 @@ def read_probe_images(
     path: "str | Path", tols: Tolerances = DEFAULT_TOLS
 ) -> list[RankOneProjection]:
     """Read probe images; entries may appear in any order but must cover the
-    canonical label set exactly.  Each image must validate as a pure state."""
+    canonical label set exactly.  Each image must validate as a pure state and
+    keeps its matrix as read."""
     obj = _load_json(path)
     dim = _read_dim(obj, path)
     labels = probe_labels(dim)
@@ -168,7 +172,8 @@ def read_probe_images(
             raise FileFormatError(f"{path}: duplicate probe label {label!r}")
         matrix = _payload_matrix(entry, dim, f"{path}[{label}]")
         state = DensityState.from_matrix(matrix, tols)
-        by_label[label] = state.as_rank_one(tols.tol_num)
+        vector = state.as_rank_one(tols.tol_num).vector
+        by_label[label] = RankOneProjection(vector=vector, source_matrix=state.matrix)
     missing = [label for label in labels if label not in by_label]
     if missing:
         raise FileFormatError(f"{path}: missing probe images for {missing}")

@@ -75,18 +75,23 @@ class SpectralDecomposition:
     """Clustered spectral decomposition M = V diag(w) V* = sum_a a * P_a.
 
     ``w`` has one eigenvalue per column of the unitary ``v``, descending, with
-    exact zeros.  Cluster a is the columns ``starts[a]:starts[a + 1]``, with
+    exact zeros.  Clustering runs only when read: cluster a is the columns
+    ``starts[a]:starts[a + 1]``, cut from ``w`` by ``cluster_tol``, with
     P_a = V_a V_a* and value a the mean of its eigenvalues.  The projections
-    in ``clusters`` and ``support`` are built only when read.
+    in ``clusters`` and ``support`` are built only when read too.
     """
 
     w: np.ndarray
     v: np.ndarray
-    starts: np.ndarray
+    cluster_tol: float = DEFAULT_TOLS.cluster_tol
 
     @property
     def dim(self) -> int:
         return self.w.shape[0]
+
+    @cached_property
+    def starts(self) -> np.ndarray:
+        return _cluster_starts(self.w, self.cluster_tol)
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
@@ -153,9 +158,9 @@ def decompose(
 
     Zeros are decided first: eigenvalues below ``eps_supp`` in magnitude are
     exactly 0 (with ``psd_floor``, for validated states: every one below
-    ``eps_supp``, and one below ``-tol_psd`` is an error).  Then nonzero
-    eigenvalues within ``cluster_tol`` of a cluster's largest member join it,
-    so degenerate spectra yield genuine spectral projections.
+    ``eps_supp``, and one below ``-tol_psd`` is an error).  When clusters are
+    read, nonzero eigenvalues within ``cluster_tol`` of a cluster's largest
+    member join it, so degenerate spectra yield genuine spectral projections.
     """
     if cluster_tol is None:
         cluster_tol = tols.cluster_tol
@@ -165,7 +170,7 @@ def decompose(
     w = w[::-1]
     w = np.where(w < tols.eps_supp if psd_floor else np.abs(w) < tols.eps_supp, 0.0, w)
     v = np.ascontiguousarray(v[:, ::-1])
-    return SpectralDecomposition(w=w, v=v, starts=_cluster_starts(w, cluster_tol))
+    return SpectralDecomposition(w=w, v=v, cluster_tol=cluster_tol)
 
 
 def apply_function(
@@ -209,9 +214,11 @@ def _as_decomposition(
 class DensityState:
     """A density operator: Hermitian, positive semidefinite, unit trace.
 
-    The clustered spectral decomposition is computed once at construction and
-    cached; eigenvalues below ``eps_supp`` are treated as exactly 0 for all
-    support decisions.
+    The spectral decomposition is fixed at construction: ``from_matrix`` runs
+    one ``eigh``, while ``from_orthonormal`` and the constructors that know a
+    state's spectrum already (``random_state``, conjugation and transpose
+    images) attach it without one.  Eigenvalues below ``eps_supp`` are exactly
+    0 for all support decisions.
     """
 
     matrix: np.ndarray
@@ -245,7 +252,7 @@ class DensityState:
         w = np.zeros(dim)
         w[:k] = weights
         matrix = hermitian_part((v[:, :k] * w[:k]) @ v[:, :k].conj().T)
-        return cls(matrix=matrix, spectral=SpectralDecomposition(w=w, v=v, starts=np.arange(min(k + 1, dim))))
+        return cls(matrix=matrix, spectral=SpectralDecomposition(w=w, v=v))
 
     @property
     def dim(self) -> int:
@@ -264,11 +271,17 @@ class DensityState:
         return self.spectral.rank
 
     def as_rank_one(self, tol: float | None = None) -> "RankOneProjection":
-        """Extract the rank-one projection if this state is pure."""
+        """Extract the rank-one projection if this state is pure.
+
+        Pure means a leading eigenvalue within ``tol`` of 1 whose cluster has
+        multiplicity 1, read from ``w[0]`` and ``w[1]`` without clustering.
+        """
         tol = DEFAULT_TOLS.tol_num if tol is None else tol
-        spec = self.spectral
-        top, multiplicity = float(spec.w[0]), int(spec.multiplicities[0])
-        if abs(top - 1.0) > tol or multiplicity != 1:
+        spec, w = self.spectral, self.spectral.w
+        top = float(w[0])
+        simple = spec.dim == 1 or np.sign(w[0]) != np.sign(w[1]) or w[0] - w[1] >= spec.cluster_tol
+        if abs(top - 1.0) > tol or not simple:
+            multiplicity = int(spec.multiplicities[0])
             raise ValidationError(
                 f"state is not rank-one: leading eigenvalue {top!r} "
                 f"with multiplicity {multiplicity}"
@@ -284,9 +297,15 @@ def density_state(matrix: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> Densit
 
 @dataclass(frozen=True)
 class RankOneProjection:
-    """A pure state |v><v| stored by its unit vector."""
+    """A pure state |v><v| stored by its unit vector.
+
+    ``matrix`` is |v><v|, or ``source_matrix`` when one is given: a probe
+    image read from a file keeps the matrix it was read from, so the file
+    read and written again is byte-identical.
+    """
 
     vector: np.ndarray
+    source_matrix: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @classmethod
     def from_vector(cls, vector: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> "RankOneProjection":
@@ -302,6 +321,8 @@ class RankOneProjection:
 
     @property
     def matrix(self) -> np.ndarray:
+        if self.source_matrix is not None:
+            return self.source_matrix
         return np.outer(self.vector, self.vector.conj())
 
     def to_state(self, tols: Tolerances = DEFAULT_TOLS) -> DensityState:

@@ -15,7 +15,7 @@ import numpy as np
 from .config import DEFAULT_TOLS, Tolerances
 from .errors import DomainError, ParameterError
 from .generators import GeneratorFunction, normalize
-from .hermitian import DensityState, SpectralDecomposition, _cluster_starts, hermitian_part
+from .hermitian import DensityState, SpectralDecomposition, hermitian_part
 from .bregman import _check_dims, _clamp_nonneg, bregman
 
 __all__ = [
@@ -48,9 +48,7 @@ def midpoint_state(a: DensityState, b: DensityState, *, tols: Tolerances = DEFAU
     matrix = hermitian_part(_midpoint_matrix(a, b))
     w, v = np.linalg.eigh(matrix)
     w = np.maximum(w[::-1], 0.0)
-    spectral = SpectralDecomposition(
-        w=w, v=np.ascontiguousarray(v[:, ::-1]), starts=_cluster_starts(w, tols.cluster_tol)
-    )
+    spectral = SpectralDecomposition(w=w, v=np.ascontiguousarray(v[:, ::-1]), cluster_tol=tols.cluster_tol)
     return DensityState(matrix=matrix, spectral=spectral)
 
 
@@ -65,11 +63,16 @@ def jensen(
 
     A and B enter with their zeros decided; the eigenvalues of their midpoint
     are not snapped at eps_supp (only clipped at 0), so J_f >= 0 holds exactly.
+    When A and B share one eigenvector array the midpoint spectrum is
+    (w_A + w_B)/2, so J_f(A, A) is exactly 0.
     """
     f = normalize(f)
     _require_finite_at_zero(f)
-    mid = np.linalg.eigvalsh(_midpoint_matrix(a, b))
-    spectra = (a.spectral.w, b.spectral.w, np.maximum(mid, 0.0))
+    if a.spectral.v is b.spectral.v:
+        mid = (a.spectral.w + b.spectral.w) / 2.0
+    else:
+        mid = np.maximum(np.linalg.eigvalsh(_midpoint_matrix(a, b)), 0.0)
+    spectra = (a.spectral.w, b.spectral.w, mid)
     fa, fb, fm = (float(f.values(w).sum()) for w in spectra)
     return _clamp_nonneg(0.5 * (fa + fb) - fm, tols.tol_num)
 

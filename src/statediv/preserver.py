@@ -28,7 +28,13 @@ from .errors import (
     ValidationError,
 )
 from .generators import GeneratorFunction, NormalizedGenerator, normalize
-from .hermitian import DensityState, RankOneProjection, transition_probability
+from .hermitian import (
+    DensityState,
+    RankOneProjection,
+    SpectralDecomposition,
+    hermitian_part,
+    transition_probability,
+)
 from .jensen import jensen, jensen_max_constant, jensen_rank_one
 from .sampling import random_pure, random_state, rng_for
 
@@ -102,7 +108,12 @@ class SymmetryOp:
         return self.matrix @ a @ self.matrix.conj().T
 
     def apply_state(self, state: DensityState, tols: Tolerances = DEFAULT_TOLS) -> DensityState:
-        return DensityState.from_matrix(self.apply_matrix(state.matrix), tols)
+        """The image state, carrying the input's eigenvalues with eigenvectors
+        U V (U conj(V) when antiunitary); no eigendecomposition runs."""
+        spectral = SpectralDecomposition(
+            w=state.spectral.w, v=self.apply_vector(state.spectral.v), cluster_tol=tols.cluster_tol
+        )
+        return DensityState(matrix=hermitian_part(self.apply_matrix(state.matrix)), spectral=spectral)
 
     def apply_vector(self, v: np.ndarray) -> np.ndarray:
         v = np.conj(v) if self.antiunitary else v
@@ -160,7 +171,12 @@ class PreserverOracle:
 
 
 def conjugation_oracle(op: SymmetryOp, tols: Tolerances = DEFAULT_TOLS) -> PreserverOracle:
-    """A -> U A U* (or U conj(A) U*): the maps the structure theorems produce."""
+    """A -> U A U* (or U conj(A) U*): the maps the structure theorems produce.
+
+    Images carry the input's eigenvalues (``SymmetryOp.apply_state``) and are
+    not validated one by one, so U is checked for unitarity here, once.
+    """
+    SymmetryOp.from_matrix(op.matrix, op.antiunitary, tols)
     kind = "antiunitary" if op.antiunitary else "unitary"
     return PreserverOracle(
         dim=op.dim, mapping=lambda s: op.apply_state(s, tols), label=f"{kind}-conjugation"
@@ -168,12 +184,16 @@ def conjugation_oracle(op: SymmetryOp, tols: Tolerances = DEFAULT_TOLS) -> Prese
 
 
 def transpose_oracle(dim: int, tols: Tolerances = DEFAULT_TOLS) -> PreserverOracle:
-    """A -> A^T; equals entrywise conjugation, an antiunitary conjugation with U = I."""
-    return PreserverOracle(
-        dim=dim,
-        mapping=lambda s: DensityState.from_matrix(s.matrix.T, tols),
-        label="transpose",
-    )
+    """A -> A^T; equals entrywise conjugation, an antiunitary conjugation with U = I.
+
+    The image carries the input's eigenvalues with eigenvectors conj(V).
+    """
+
+    def mapping(s: DensityState) -> DensityState:
+        spectral = SpectralDecomposition(w=s.spectral.w, v=s.spectral.v.conj(), cluster_tol=tols.cluster_tol)
+        return DensityState(matrix=hermitian_part(s.matrix.T), spectral=spectral)
+
+    return PreserverOracle(dim=dim, mapping=mapping, label="transpose")
 
 
 def depolarizing_oracle(dim: int, alpha: float = 0.5, tols: Tolerances = DEFAULT_TOLS) -> PreserverOracle:
@@ -432,6 +452,17 @@ def wigner_reconstruct(
     The global phase is fixed so the first nonzero component of the image of
     e_1 is real and nonnegative.
     """
+    return _wigner_fit(images, wigner_tol=wigner_tol, reconstruct_tol=reconstruct_tol, tols=tols)[0]
+
+
+def _wigner_fit(
+    images: Sequence[RankOneProjection],
+    *,
+    wigner_tol: float = WIGNER_TOL,
+    reconstruct_tol: float = RECONSTRUCT_TOL,
+    tols: Tolerances = DEFAULT_TOLS,
+) -> tuple[SymmetryOp, float]:
+    """``wigner_reconstruct`` together with the ``max_probe_residual`` it checked."""
     images = list(images)
     if not images or len(images) % 2 != 0:
         raise ParameterError(f"expected 2*dim probe images, got {len(images)}")
@@ -497,7 +528,7 @@ def wigner_reconstruct(
         raise NotAPreserverError(
             f"reconstructed operator misses the probe images by {residual:.3e} > {reconstruct_tol:.1e}"
         )
-    return op
+    return op, residual
 
 
 def max_probe_residual(op: SymmetryOp, images: Sequence[RankOneProjection]) -> float:
@@ -798,13 +829,12 @@ def verify_preserver(
             recovered = probe_transitions_via_divergence(f, probe_images, kind, tols=tols)
             transition_recovery_dev = recovered.max_deviation(TransitionTable.direct(probes))
         try:
-            symmetry = wigner_reconstruct(
+            symmetry, probe_residual = _wigner_fit(
                 probe_images, wigner_tol=wigner_tol, reconstruct_tol=reconstruct_tol, tols=tols
             )
         except (NotAPreserverError, DegenerateProbeError) as exc:
             reconstruction_error = str(exc)
         if symmetry is not None:
-            probe_residual = max_probe_residual(symmetry, probe_images)
             state_residual = 0.0
             for state, image in zip(inputs, images):
                 predicted = symmetry.apply_matrix(state.matrix)

@@ -11,7 +11,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLS, Tolerances
 from .errors import ParameterError
-from .hermitian import DensityState, RankOneProjection, hermitian_part
+from .hermitian import DensityState, RankOneProjection, SpectralDecomposition, hermitian_part
 
 __all__ = [
     "rng_for",
@@ -72,7 +72,9 @@ def random_state(
     a seeded point of the rank-restricted probability simplex, padded with
     zeros.  ``eigenvalue_floor`` > 0 mixes the spectrum toward uniform so the
     nonzero eigenvalues stay away from 0 (useful for conditioning-sensitive
-    tests; the sampling contract of the CLI uses floor 0).
+    tests; the sampling contract of the CLI uses floor 0).  The state carries
+    (w, V) as its decomposition, sorted descending with weights below
+    ``eps_supp`` set to 0; no eigendecomposition runs.
     """
     if dim < 1:
         raise ParameterError(f"dimension must be >= 1, got {dim}")
@@ -86,4 +88,8 @@ def random_state(
     spectrum[:rank] = weights
     basis = haar_unitary(dim, rng)
     matrix = hermitian_part((basis * spectrum) @ basis.conj().T)
-    return DensityState.from_matrix(matrix, tols)
+    order = np.argsort(-spectrum, kind="stable")
+    w = spectrum[order]
+    w[w < tols.eps_supp] = 0.0
+    spectral = SpectralDecomposition(w=w, v=basis[:, order], cluster_tol=tols.cluster_tol)
+    return DensityState(matrix=matrix, spectral=spectral)

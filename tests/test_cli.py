@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from statediv import density_state, random_state, rng_for
+from statediv.cli import main
 from statediv.files import read_state, read_symmetry, read_table, write_state
 
 RUN = [sys.executable, "-m", "statediv"]
@@ -105,6 +107,22 @@ class TestGen:
     def test_invalid_rank(self, tmp_path):
         out = tmp_path / "x.json"
         assert cli("gen", "state", "--dim", 2, "--rank", 5, "--seed", 1, "-o", out).returncode == 6
+
+    @pytest.mark.parametrize(
+        "args,digest",
+        [
+            (["--dim", "5"], "1c043f16592e7087e0706edd75fe73b52ee614cc67c340da2736c54b4648f889"),
+            (
+                ["--dim", "6", "--rank", "3"],
+                "1367fa6a97a6b46a7ad690044fdd40ae6a1ee448b44c166e82a4c0ce3e72ddc0",
+            ),
+        ],
+    )
+    def test_sampling_contract_bytes(self, tmp_path, args, digest):
+        """The seeded state files are part of the file-format contract."""
+        out = tmp_path / "s.json"
+        assert main(["gen", "state", *args, "--seed", "7", "-o", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestTable:

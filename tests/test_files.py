@@ -1,16 +1,23 @@
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from statediv import (
     FileFormatError,
     SymmetryOp,
     ValidationError,
+    conjugation_oracle,
     haar_unitary,
+    random_pure,
     random_state,
     rng_for,
+    transpose_oracle,
     wigner_probes,
 )
 from statediv.files import (
@@ -184,3 +191,62 @@ class TestFormatting:
         assert format_divergence(2.0) == "2.000000000000"
         assert format_divergence(math.log(2.0)) == "0.693147180560"
         assert format_divergence(math.inf) == "inf"
+
+
+def _round_trip_bytes(write, read, obj) -> tuple[bytes, bytes]:
+    """The bytes of write(obj) and of write(read(that file))."""
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "first.json", Path(tmp) / "second.json"
+        write(first, obj)
+        write(second, read(first))
+        return first.read_bytes(), second.read_bytes()
+
+
+class TestRoundTripProperty:
+    """write -> read -> write is byte-identical for every file kind."""
+
+    @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**16), st.booleans())
+    def test_state_files(self, dim, rank, seed, pure):
+        rng = rng_for(seed)
+        state = random_pure(dim, rng).to_state() if pure else random_state(dim, min(rank, dim), rng=rng)
+        first, second = _round_trip_bytes(write_state, read_state, state)
+        assert first == second
+
+    @given(st.integers(1, 6), st.integers(0, 2**16), st.booleans())
+    def test_operator_files(self, dim, seed, antiunitary):
+        op = SymmetryOp(matrix=haar_unitary(dim, rng_for(seed)), antiunitary=antiunitary)
+        first, second = _round_trip_bytes(write_symmetry, read_symmetry, op)
+        assert first == second
+
+    @given(
+        st.integers(2, 6),
+        st.integers(0, 2**16),
+        st.sampled_from(["vector", "unitary", "antiunitary", "transpose"]),
+    )
+    def test_probe_image_files(self, dim, seed, route):
+        probes = wigner_probes(dim)
+        op = SymmetryOp(matrix=haar_unitary(dim, rng_for(seed)), antiunitary=route == "antiunitary")
+        if route == "vector":
+            images = [op.apply_projection(p) for p in probes]
+        else:
+            oracle = transpose_oracle(dim) if route == "transpose" else conjugation_oracle(op)
+            images = [oracle(p.to_state()).as_rank_one() for p in probes]
+        first, second = _round_trip_bytes(write_probe_images, read_probe_images, images)
+        assert first == second
+
+    @given(st.data())
+    def test_table_files(self, data):
+        n = data.draw(st.integers(1, 4))
+        kind, generator = data.draw(
+            st.sampled_from([("bregman", "xlogx"), ("bregman", "quadratic"), ("jensen", "power:q=3/2")])
+        )
+        entry = st.floats(allow_nan=False, allow_infinity=False)
+        if generator == "xlogx":
+            entry = entry | st.just(math.inf)
+        values = tuple(
+            tuple(0.0 if i == j else data.draw(entry) for j in range(n)) for i in range(n)
+        )
+        labels = tuple(f"s{i}" for i in range(n))
+        table = DivergenceTable(kind=kind, generator=generator, labels=labels, values=values)
+        first, second = _round_trip_bytes(write_table, read_table, table)
+        assert first == second

@@ -1,0 +1,166 @@
+"""States whose spectrum is known carry it: no eigendecomposition runs.
+
+``random_state`` attaches its simplex weights and Haar columns, conjugation
+and transpose images attach the input's eigenvalues with the moved
+eigenvectors, and clustering runs only when clusters are read.  These tests
+check that the attached decompositions describe the stored matrices, that
+the preserver engine calls ``eigh`` only for maps whose images have an
+unknown spectrum, and the exact rules that used to come from an ``eigh``.
+"""
+
+import subprocess
+import sys
+from unittest import mock
+
+import numpy as np
+import pytest
+
+from statediv import (
+    DEFAULT_TOLS,
+    DensityState,
+    SpectralDecomposition,
+    SymmetryOp,
+    ValidationError,
+    conjugation_oracle,
+    depolarizing_oracle,
+    haar_unitary,
+    max_probe_residual,
+    parse_generator,
+    random_state,
+    rng_for,
+    transpose_oracle,
+    verify_preserver,
+    wigner_probes,
+)
+from statediv import hermitian
+
+EPS, CT = DEFAULT_TOLS.eps_supp, DEFAULT_TOLS.cluster_tol
+ROUTES = [("bregman", "xlogx"), ("bregman", "quadratic"), ("jensen", "quadratic")]
+
+
+def _random_states(dim: int, rng) -> list[DensityState]:
+    return [
+        random_state(dim, rng=rng),
+        random_state(dim, max(1, dim // 2), rng=rng),
+        random_state(dim, rng=rng, eigenvalue_floor=1e-3),
+    ]
+
+
+def _images(dim: int, rng) -> list[DensityState]:
+    """Unitary, antiunitary and transpose images of random states of every kind."""
+    states = _random_states(dim, rng)
+    oracles = [
+        conjugation_oracle(SymmetryOp(matrix=haar_unitary(dim, rng), antiunitary=anti))
+        for anti in (False, True)
+    ]
+    oracles.append(transpose_oracle(dim))
+    return [oracle(s) for oracle in oracles for s in states]
+
+
+def _assert_consistent(state: DensityState) -> None:
+    w, v = state.spectral.w, state.spectral.v
+    exact = np.sort(np.linalg.eigvalsh(state.matrix))[::-1]
+    assert np.all(np.diff(w) <= 0.0)
+    np.testing.assert_array_equal(w == 0.0, exact < EPS)
+    np.testing.assert_allclose(w, exact, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(v.conj().T @ v, np.eye(state.dim), rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(state.spectral.reconstruct(), state.matrix, rtol=0.0, atol=1e-12)
+
+
+class TestAttachedDecompositions:
+    @pytest.mark.parametrize("dim", [2, 8, 64])
+    def test_random_states(self, dim):
+        for state in _random_states(dim, rng_for(600 + dim)):
+            _assert_consistent(state)
+
+    @pytest.mark.parametrize("dim", [2, 8, 64])
+    def test_conjugation_and_transpose_images(self, dim):
+        for image in _images(dim, rng_for(700 + dim)):
+            _assert_consistent(image)
+
+    def test_image_matrix_is_the_conjugated_matrix(self):
+        rng = rng_for(802)
+        state = random_state(5, rng=rng)
+        for anti in (False, True):
+            op = SymmetryOp(matrix=haar_unitary(5, rng), antiunitary=anti)
+            image = op.apply_state(state)
+            np.testing.assert_array_equal(image.spectral.w, state.spectral.w)
+            expected = op.apply_matrix(state.matrix)
+            np.testing.assert_array_equal(image.matrix, (expected + expected.conj().T) / 2)
+
+
+def test_conjugation_oracle_checks_unitarity_once():
+    with pytest.raises(ValidationError, match="not unitary"):
+        conjugation_oracle(SymmetryOp(matrix=2.0 * np.eye(3)))
+
+
+class TestEighCount:
+    """``eigh`` runs only for images whose spectrum the code does not know."""
+
+    @staticmethod
+    def _count(f, oracle, kind) -> tuple[int, bool]:
+        with mock.patch.object(hermitian.np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+            outcome = verify_preserver(f, oracle, kind, sample_size=6, seed=3)
+        return eigh.call_count, outcome.passed
+
+    @pytest.mark.parametrize("dim", [3, 8])
+    @pytest.mark.parametrize("oracle_kind", ["unitary", "antiunitary", "transpose"])
+    def test_preserver_oracles_make_no_eigh_call(self, dim, oracle_kind):
+        rng = rng_for(900 + dim)
+        if oracle_kind == "transpose":
+            oracle = transpose_oracle(dim)
+        else:
+            op = SymmetryOp(matrix=haar_unitary(dim, rng), antiunitary=oracle_kind == "antiunitary")
+            oracle = conjugation_oracle(op)
+        for kind, spec in ROUTES:
+            calls, passed = self._count(parse_generator(spec), oracle, kind)
+            assert passed
+            assert calls == 0, (kind, spec)
+
+    def test_depolarizing_oracle_still_decomposes(self):
+        calls, passed = self._count(parse_generator("quadratic"), depolarizing_oracle(3), "bregman")
+        assert not passed
+        assert calls > 0
+
+
+class TestLazyClustering:
+    def test_clusters_are_built_on_first_read(self):
+        spec = SpectralDecomposition(w=np.array([0.5, 0.5 - 0.5 * CT, 0.0]), v=np.eye(3, dtype=complex))
+        assert "starts" not in vars(spec)
+        np.testing.assert_array_equal(spec.multiplicities, [2, 1])
+        assert "starts" in vars(spec)
+
+    @pytest.mark.parametrize("second", [0.6, 0.6 - 0.5 * CT, 0.6 - 0.99 * CT, 0.6 - 1.01 * CT, 0.1, 0.0])
+    def test_as_rank_one_matches_top_cluster_multiplicity(self, second):
+        # tol = 1 admits every leading eigenvalue, so only the multiplicity rule decides.
+        w = np.array([0.6, second, 0.0])
+        spectral = SpectralDecomposition(w=w, v=np.eye(3, dtype=complex))
+        state = DensityState(matrix=np.diag(w).astype(complex), spectral=spectral)
+        if spectral.multiplicities[0] == 1:
+            assert state.as_rank_one(1.0).dim == 3
+        else:
+            with pytest.raises(ValidationError, match="multiplicity 2"):
+                state.as_rank_one(1.0)
+
+    def test_as_rank_one_in_dimension_one(self):
+        assert DensityState.from_matrix(np.eye(1)).as_rank_one().dim == 1
+
+
+class TestResidualReuse:
+    def test_verify_reports_the_residual_of_its_probe_images(self):
+        rng = rng_for(1001)
+        op = SymmetryOp(matrix=haar_unitary(4, rng), antiunitary=True)
+        oracle = conjugation_oracle(op)
+        outcome = verify_preserver(parse_generator("quadratic"), oracle, "bregman", sample_size=4)
+        images = [oracle(p.to_state()).as_rank_one(1e-8) for p in wigner_probes(4)]
+        assert outcome.max_probe_residual == max_probe_residual(outcome.symmetry, images)
+
+
+def test_importing_the_package_leaves_scipy_unloaded():
+    code = (
+        "import sys, statediv, statediv.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

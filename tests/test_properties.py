@@ -25,9 +25,11 @@ from statediv import (
     jensen_max_constant,
     jensen_via_bregman,
     parse_generator,
+    random_state,
     rng_for,
     support_contained,
 )
+from statediv.generators import catalog
 
 GENERATORS = [parse_generator(s) for s in ("xlogx", "power:q=3/2", "quadratic")]
 EPS, CT = DEFAULT_TOLS.eps_supp, DEFAULT_TOLS.cluster_tol
@@ -116,6 +118,15 @@ def test_jensen_symmetric_and_bounded(pair):
         value = jensen(f, x, y)
         assert value == pytest.approx(jensen(f, y, x), abs=1e-12)
         assert value <= jensen_max_constant(f) + 1e-9
+
+
+@given(state_pairs(), st.integers(1, 5), st.sampled_from((1.25, 1.5, 2.0, 3.0)))
+def test_jensen_exactly_zero_on_equal_arguments(pair, rank, q):
+    x, _, rng = pair
+    drawn = random_state(x.dim, min(rank, x.dim), rng=rng)
+    for f in (catalog("std_entropy"), catalog("power", q=q), catalog("quadratic")):
+        assert jensen(f, x, x) == 0.0
+        assert jensen(f, drawn, drawn) == 0.0
 
 
 @given(state_pairs())
