@@ -18,10 +18,10 @@ Distinct exit codes identify the failure class:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import files
@@ -113,7 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--f", dest="generator", required=True)
     p_table.add_argument("files", nargs="+", help="state files")
     p_table.add_argument("-o", "--output", default=None, help="write JSON here (default stdout)")
-    p_table.add_argument("--jobs", type=int, default=1, help="parallel workers for the pair grid")
 
     p_probes = sub.add_parser(
         "probes", parents=[tol_parent], help="apply an oracle to the canonical probe family"
@@ -206,26 +205,11 @@ def _cmd_table(args: argparse.Namespace, tols: Tolerances) -> int:
     generator = parse_generator(args.generator)
     states = [files.read_state(path, tols) for path in args.files]
     labels = [Path(path).name for path in args.files]
-    n = len(states)
-
-    def compute(pair: tuple[int, int]) -> tuple[int, int, float]:
-        i, j = pair
-        if args.kind == "bregman":
-            value = bregman(generator, states[i], states[j], tols=tols)
-        else:
-            value = jensen(generator, states[i], states[j], tols=tols)
-        return i, j, value
-
-    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-    values = [[0.0] * n for _ in range(n)]
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            for i, j, value in pool.map(compute, pairs):
-                values[i][j] = value
-    else:
-        for pair in pairs:
-            i, j, value = compute(pair)
-            values[i][j] = value
+    divergence = bregman if args.kind == "bregman" else jensen
+    values = [
+        [0.0 if i == j else divergence(generator, a, b, tols=tols) for j, b in enumerate(states)]
+        for i, a in enumerate(states)
+    ]
 
     table = files.DivergenceTable(
         kind=args.kind,
@@ -333,9 +317,14 @@ _ERROR_CODES = (
 )
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built once per process; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     tols = _resolve_tols(args)
     try:
         return _COMMANDS[args.command](args, tols)

@@ -77,16 +77,32 @@ def jensen(
     return _clamp_nonneg(0.5 * (fa + fb) - fm, tols.tol_num)
 
 
-def jensen_rank_one(f: GeneratorFunction, p: float, *, tols: Tolerances = DEFAULT_TOLS) -> float:
+def jensen_rank_one(
+    f: GeneratorFunction, p: "float | np.ndarray", *, tols: Tolerances = DEFAULT_TOLS
+) -> "float | np.ndarray":
     """Closed form for pure states: J_f(P, Q) = -( f((1+sqrt(p))/2) + f((1-sqrt(p))/2) )
 
     with p = tr PQ.  Strictly decreasing in p, from M_f at p = 0 down to 0 at
-    p = 1.
+    p = 1.  ``p`` may be an array of values; the result is then an array too.
+    Each distinct value is evaluated once, with the scalar generator, so an
+    entry equals the float call on it bit for bit.
     """
     f = normalize(f)
-    if p < -tols.tol_num or p > 1.0 + tols.tol_num:
-        raise ParameterError(f"transition probability must lie in [0, 1], got {p!r}")
-    p = min(max(p, 0.0), 1.0)
+    low, high = -tols.tol_num, 1.0 + tols.tol_num
+    if np.ndim(p) == 0:
+        if not low <= p <= high:
+            raise ParameterError(f"transition probability must lie in [0, 1], got {p!r}")
+        return _rank_one_value(f, min(max(float(p), 0.0), 1.0))
+    p = np.asarray(p, dtype=float)
+    inside = (p >= low) & (p <= high)
+    if not inside.all():
+        raise ParameterError(f"transition probability must lie in [0, 1], got {float(p[~inside][0])!r}")
+    distinct, index = np.unique(np.clip(p, 0.0, 1.0), return_inverse=True)
+    return np.array([_rank_one_value(f, x) for x in distinct.tolist()])[index].reshape(p.shape)
+
+
+def _rank_one_value(f: GeneratorFunction, p: float) -> float:
+    """``jensen_rank_one`` for a normalized ``f`` and a float p in [0, 1], unchecked."""
     root = math.sqrt(p)
     return -(f(0.5 * (1.0 + root)) + f(0.5 * (1.0 - root)))
 

@@ -35,7 +35,7 @@ from .hermitian import (
     hermitian_part,
     transition_probability,
 )
-from .jensen import jensen, jensen_max_constant, jensen_rank_one
+from .jensen import _rank_one_value, jensen, jensen_max_constant, jensen_rank_one
 from .sampling import random_pure, random_state, rng_for
 
 __all__ = [
@@ -223,10 +223,10 @@ def diagonal_oracle(dim: int, tols: Tolerances = DEFAULT_TOLS) -> PreserverOracl
 
 def _checked(name: str, value, low: float, high: float, tols: Tolerances) -> np.ndarray:
     """``value`` (a float or an array) as an array; ``RangeError`` if an entry
-    lies outside [low, high] by more than tol_num * max(1, |low|, |high|)."""
+    is NaN or lies outside [low, high] by more than tol_num * max(1, |low|, |high|)."""
     value = np.asarray(value, dtype=float)
     slack = tols.tol_num * max(1.0, abs(low), abs(high))
-    outside = (value < low - slack) | (value > high + slack)
+    outside = ~((value >= low - slack) & (value <= high + slack))
     if outside.any():
         raise RangeError(
             f"{name} {float(value[outside][0])!r} outside the admissible range [{low!r}, {high!r}]"
@@ -260,22 +260,39 @@ def transition_from_bregman(
 
 def transition_from_jensen(
     f: GeneratorFunction,
-    j: float,
+    j: "float | np.ndarray",
     *,
     bisect_tol: float = BISECT_TOL,
     tols: Tolerances = DEFAULT_TOLS,
-) -> float:
-    """Invert the rank-one Jensen closed form by monotone bisection in p."""
+) -> "float | np.ndarray":
+    """Invert the rank-one Jensen closed form by monotone bisection in p.
+
+    ``j`` may be an array of values; the result is then an array too.  Every
+    entry halves the same bracket [0, 1] by the same midpoint rule, so each
+    step's midpoints are dyadic and exact, an entry equals the float call on
+    it bit for bit, and entries in the same bracket share one evaluation of
+    ``jensen_rank_one``.
+    """
     f = normalize(f)
     m_f = jensen_max_constant(f)
-    j = min(max(float(_checked("Jensen value", j, 0.0, m_f, tols)), 0.0), m_f)
-    lo, hi = 0.0, 1.0  # jensen_rank_one decreases from M_f at p=0 to 0 at p=1
-    while hi - lo > bisect_tol:
+    j = _checked("Jensen value", j, 0.0, m_f, tols)
+    if j.ndim == 0:  # a plain float loop: array steps would cost a float call many times over
+        j, lo, hi = min(max(float(j), 0.0), m_f), 0.0, 1.0  # J decreases from M_f at p=0 to 0 at p=1
+        while hi - lo > bisect_tol:
+            mid = 0.5 * (lo + hi)
+            if _rank_one_value(f, mid) > j:
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
+    j = np.clip(j, 0.0, m_f)
+    lo, hi = np.zeros_like(j), np.ones_like(j)
+    width = 1.0  # hi - lo, the same for every entry
+    while width > bisect_tol:
         mid = 0.5 * (lo + hi)
-        if jensen_rank_one(f, mid, tols=tols) > j:
-            lo = mid
-        else:
-            hi = mid
+        above = jensen_rank_one(f, mid, tols=tols) > j
+        lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
+        width *= 0.5
     return 0.5 * (lo + hi)
 
 
@@ -314,8 +331,8 @@ def recover_rank_two_spectrum(
     bisection on [bracket_eps, 1/2 - bracket_eps].
     """
     f = normalize(f)
-    if delta <= 0.0:
-        raise RangeError(f"spectral gap value must be positive, got {delta!r}")
+    if not (delta > 0.0 and math.isfinite(delta)):
+        raise RangeError(f"spectral gap value must be positive and finite, got {delta!r}")
 
     def gap(lam: float) -> float:
         return f.slope(1.0 - lam) - f.slope(lam)
@@ -457,12 +474,16 @@ def wigner_reconstruct(
 
 def _wigner_fit(
     images: Sequence[RankOneProjection],
+    probes: Sequence[RankOneProjection] | None = None,
     *,
     wigner_tol: float = WIGNER_TOL,
     reconstruct_tol: float = RECONSTRUCT_TOL,
     tols: Tolerances = DEFAULT_TOLS,
 ) -> tuple[SymmetryOp, float]:
-    """``wigner_reconstruct`` together with the ``max_probe_residual`` it checked."""
+    """``wigner_reconstruct`` together with the ``max_probe_residual`` it checked.
+
+    ``probes`` is ``wigner_probes(dim)`` when the caller has built it already.
+    """
     images = list(images)
     if not images or len(images) % 2 != 0:
         raise ParameterError(f"expected 2*dim probe images, got {len(images)}")
@@ -474,8 +495,10 @@ def _wigner_fit(
                 f"probe image dimension {img.dim} does not match probe family dimension {dim}"
             )
     labels = probe_labels(dim)
+    if probes is None:
+        probes = wigner_probes(dim)
 
-    want, got = _gram(wigner_probes(dim)), _gram(images)
+    want, got = _gram(probes), _gram(images)
     offending = np.argwhere(np.triu(np.abs(want - got) > wigner_tol, 1))
     if len(offending):
         a, b = offending[0]  # row-major: the first pair in (a, b > a) loop order
@@ -523,7 +546,7 @@ def _wigner_fit(
             break
 
     op = SymmetryOp(matrix=columns, antiunitary=antiunitary)
-    residual = max_probe_residual(op, images)
+    residual = _probe_residual(op, probes, images)
     if residual > reconstruct_tol:
         raise NotAPreserverError(
             f"reconstructed operator misses the probe images by {residual:.3e} > {reconstruct_tol:.1e}"
@@ -533,7 +556,12 @@ def _wigner_fit(
 
 def max_probe_residual(op: SymmetryOp, images: Sequence[RankOneProjection]) -> float:
     """Max-entry deviation between op-applied probes and the given images."""
-    probes = wigner_probes(op.dim)
+    return _probe_residual(op, wigner_probes(op.dim), images)
+
+
+def _probe_residual(
+    op: SymmetryOp, probes: Sequence[RankOneProjection], images: Sequence[RankOneProjection]
+) -> float:
     if len(images) != len(probes):
         raise ParameterError(f"expected {len(probes)} probe images, got {len(images)}")
     worst = 0.0
@@ -623,7 +651,7 @@ def _pair_divergences(
       inside span(R, P), so that tr RP = p and tr RQ = 1 - p.
     """
     if kind == "jensen":
-        return np.array([jensen_rank_one(f, x, tols=tols) for x in p])
+        return jensen_rank_one(f, p, tols=tols)
     if f.finite_zero_slope:
         return np.where(1.0 - p < tols.tol_num, 0.0, (1.0 - p) * (f.slope(1.0) - f.slope_at_zero))
     return -f.slope(lam) * p - f.slope(1.0 - lam) * (1.0 - p) + rank_two_offset(f, lam)
@@ -645,7 +673,7 @@ def probe_transitions_via_divergence(
     its divergence value from the closed form of its route, which is inverted
     with the matching ``transition_from_*`` function and mirrored into the
     lower triangle; no state, mixture or eigendecomposition is built.  Routes:
-    Jensen values inverted by monotone bisection, one per pair; rank-one
+    Jensen values inverted by one array bisection; rank-one
     Bregman values inverted linearly (finite f'(0)); for infinite f'(0) each
     pair (R, P) is probed against the rank-two mixture lam P + (1 - lam) Q,
     with Q the orthocomplement of P inside span(R, P) -- rank-one Bregman
@@ -659,7 +687,7 @@ def probe_transitions_via_divergence(
     p = _gram(family)[rows, cols]
     values = _pair_divergences(f, p, kind, lam, tols)
     if kind == "jensen":
-        t = [transition_from_jensen(f, j, tols=tols) for j in values]
+        t = transition_from_jensen(f, values, tols=tols)
     elif f.finite_zero_slope:
         t = transition_from_bregman(f, values, tols=tols)
     else:
@@ -830,7 +858,7 @@ def verify_preserver(
             transition_recovery_dev = recovered.max_deviation(TransitionTable.direct(probes))
         try:
             symmetry, probe_residual = _wigner_fit(
-                probe_images, wigner_tol=wigner_tol, reconstruct_tol=reconstruct_tol, tols=tols
+                probe_images, probes, wigner_tol=wigner_tol, reconstruct_tol=reconstruct_tol, tols=tols
             )
         except (NotAPreserverError, DegenerateProbeError) as exc:
             reconstruction_error = str(exc)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import time
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -109,14 +110,19 @@ class RunReport:
 
 
 def _pairs(dim: int, count: int, rng, *, floor: float = 1e-3):
-    return [
-        (random_state(dim, rng=rng, eigenvalue_floor=floor), random_state(dim, rng=rng, eigenvalue_floor=floor))
-        for _ in range(count)
-    ]
+    for _ in range(count):
+        a = random_state(dim, rng=rng, eigenvalue_floor=floor)
+        yield a, random_state(dim, rng=rng, eigenvalue_floor=floor)
 
 
 def _worst(devs) -> float:
     return max(devs) if devs else 0.0
+
+
+def _within(name: str, devs, tol: float) -> CheckResult:
+    """The check that the worst deviation in ``devs`` is at most ``tol``."""
+    worst = _worst(devs)
+    return CheckResult(name, worst <= tol, worst, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -142,77 +148,65 @@ def _suite_closed_forms(
             devs_hs_j.append(abs(jensen(quad, a, b, tols=tols) - hs / 4.0))
             umegaki = float(np.trace(a.matrix @ (logm(a.matrix) - logm(b.matrix))).real)
             devs_umegaki.append(abs(bregman(xlogx, a, b, tols=tols) - umegaki))
-    report.checks.append(
-        CheckResult("quadratic-bregman-hilbert-schmidt", _worst(devs_hs_b) <= 1e-10, _worst(devs_hs_b), 1e-10)
-    )
-    report.checks.append(
-        CheckResult("quadratic-jensen-hilbert-schmidt", _worst(devs_hs_j) <= 1e-10, _worst(devs_hs_j), 1e-10)
-    )
-    report.checks.append(
-        CheckResult("umegaki-operator-log", _worst(devs_umegaki) <= 1e-8, _worst(devs_umegaki), 1e-8)
-    )
+    report.checks.append(_within("quadratic-bregman-hilbert-schmidt", devs_hs_b, 1e-10))
+    report.checks.append(_within("quadratic-jensen-hilbert-schmidt", devs_hs_j, 1e-10))
+    report.checks.append(_within("umegaki-operator-log", devs_umegaki, 1e-8))
 
-    for label, gen in generators.items():
-        devs_trace, devs_jvb, devs_r1, devs_pair, devs_mix = [], [], [], [], []
-        for dim in dims:
-            rng = rng_for(seed + 2000 * dim)
-            for a, b in _pairs(dim, samples, rng):
-                devs_trace.append(abs(bregman(gen, a, b, tols=tols) - bregman_trace_form(gen, a, b, tols=tols)))
-                devs_jvb.append(abs(jensen(gen, a, b, tols=tols) - jensen_via_bregman(gen, a, b, tols=tols)))
-            if dim > 1:
-                low_rank = random_state(dim, rank=max(1, dim - 1), rng=rng, eigenvalue_floor=1e-2)
-                full = random_state(dim, rng=rng, eigenvalue_floor=1e-2)
-                devs_trace.append(
-                    abs(bregman(gen, low_rank, full, tols=tols) - bregman_trace_form(gen, low_rank, full, tols=tols))
+    # The sample streams do not depend on the generator: draw each sample once
+    # and measure every generator on it.
+    devs = {label: defaultdict(list) for label in generators}
+    for dim in dims:
+        rng = rng_for(seed + 2000 * dim)
+        for a, b in _pairs(dim, samples, rng):
+            for label, gen in generators.items():
+                devs[label]["trace"].append(
+                    abs(bregman(gen, a, b, tols=tols) - bregman_trace_form(gen, a, b, tols=tols))
                 )
-            for _ in range(samples):
-                p, q = random_pure(dim, rng), random_pure(dim, rng)
-                overlap = transition_probability(p, q)
-                devs_r1.append(
-                    abs(jensen(gen, p.to_state(), q.to_state(), tols=tols) - jensen_rank_one(gen, overlap, tols=tols))
+                devs[label]["jvb"].append(
+                    abs(jensen(gen, a, b, tols=tols) - jensen_via_bregman(gen, a, b, tols=tols))
+                )
+        if dim > 1:
+            low_rank = random_state(dim, rank=max(1, dim - 1), rng=rng, eigenvalue_floor=1e-2)
+            full = random_state(dim, rng=rng, eigenvalue_floor=1e-2)
+            for label, gen in generators.items():
+                general = bregman(gen, low_rank, full, tols=tols)
+                devs[label]["trace"].append(abs(general - bregman_trace_form(gen, low_rank, full, tols=tols)))
+        for _ in range(samples):
+            p, q = random_pure(dim, rng), random_pure(dim, rng)
+            overlap = transition_probability(p, q)
+            lam = float(rng.uniform(0.05, 0.45))
+            basis = haar_unitary(dim, rng)
+            pp = RankOneProjection.from_vector(basis[:, 0])
+            qq = RankOneProjection.from_vector(basis[:, 1])
+            r_vec = basis[:, 0] * math.cos(0.7) + basis[:, 1] * math.sin(0.7) * np.exp(0.3j)
+            rr = RankOneProjection.from_vector(r_vec)
+            p_state, q_state = p.to_state(), q.to_state()
+            r_state, mixture = rr.to_state(), rank_two_mixture(lam, pp, qq, tols=tols)
+            for label, gen in generators.items():
+                devs[label]["r1"].append(
+                    abs(jensen(gen, p_state, q_state, tols=tols) - jensen_rank_one(gen, overlap, tols=tols))
                 )
                 if gen.finite_zero_slope:
                     closed = (1.0 - overlap) * (gen.slope(1.0) - gen.slope_at_zero)
-                    devs_pair.append(abs(bregman_rank_one_pair(gen, p, q, tols=tols) - closed))
-                lam = float(rng.uniform(0.05, 0.45))
-                basis = haar_unitary(dim, rng)
-                pp = RankOneProjection.from_vector(basis[:, 0])
-                qq = RankOneProjection.from_vector(basis[:, 1])
-                r_vec = basis[:, 0] * math.cos(0.7) + basis[:, 1] * math.sin(0.7) * np.exp(0.3j)
-                rr = RankOneProjection.from_vector(r_vec)
+                    devs[label]["pair"].append(abs(bregman_rank_one_pair(gen, p, q, tols=tols) - closed))
                 closed = bregman_rank_one_vs_rank_two(gen, rr, lam, pp, qq, tols=tols)
-                general = bregman(gen, rr.to_state(), rank_two_mixture(lam, pp, qq, tols=tols), tols=tols)
-                devs_mix.append(abs(closed - general))
-        report.checks.append(
-            CheckResult(f"bregman-trace-form[{label}]", _worst(devs_trace) <= 1e-8, _worst(devs_trace), 1e-8)
-        )
-        report.checks.append(
-            CheckResult(f"jensen-via-bregman[{label}]", _worst(devs_jvb) <= 1e-8, _worst(devs_jvb), 1e-8)
-        )
-        report.checks.append(
-            CheckResult(f"jensen-rank-one-law[{label}]", _worst(devs_r1) <= 1e-8, _worst(devs_r1), 1e-8)
-        )
-        if devs_pair:
-            report.checks.append(
-                CheckResult(f"bregman-rank-one-pair[{label}]", _worst(devs_pair) <= 1e-8, _worst(devs_pair), 1e-8)
-            )
-        report.checks.append(
-            CheckResult(f"bregman-rank-two-closed-form[{label}]", _worst(devs_mix) <= 1e-8, _worst(devs_mix), 1e-8)
-        )
+                devs[label]["mix"].append(abs(closed - bregman(gen, r_state, mixture, tols=tols)))
+        rng = rng_for(seed + 3000 * dim)
+        basis = haar_unitary(dim, rng)
+        p_state = RankOneProjection.from_vector(basis[:, 0]).to_state()
+        q_state = RankOneProjection.from_vector(basis[:, 1]).to_state()
+        for label, gen in generators.items():
+            devs[label]["max"].append(abs(jensen(gen, p_state, q_state, tols=tols) - jensen_max_constant(gen)))
 
-        max_const = jensen_max_constant(gen)
-        devs_max = []
-        for dim in dims:
-            rng = rng_for(seed + 3000 * dim)
-            basis = haar_unitary(dim, rng)
-            p = RankOneProjection.from_vector(basis[:, 0])
-            q = RankOneProjection.from_vector(basis[:, 1])
-            devs_max.append(abs(jensen(gen, p.to_state(), q.to_state(), tols=tols) - max_const))
-        report.checks.append(
-            CheckResult(
-                f"jensen-max-at-orthogonal[{label}]", _worst(devs_max) <= 1e-10, _worst(devs_max), 1e-10
-            )
-        )
+    for label in generators:
+        found = devs[label]
+        report.checks.append(_within(f"bregman-trace-form[{label}]", found["trace"], 1e-8))
+        report.checks.append(_within(f"jensen-via-bregman[{label}]", found["jvb"], 1e-8))
+        report.checks.append(_within(f"jensen-rank-one-law[{label}]", found["r1"], 1e-8))
+        if found["pair"]:
+            report.checks.append(_within(f"bregman-rank-one-pair[{label}]", found["pair"], 1e-8))
+        report.checks.append(_within(f"bregman-rank-two-closed-form[{label}]", found["mix"], 1e-8))
+        report.checks.append(_within(f"jensen-max-at-orthogonal[{label}]", found["max"], 1e-10))
 
 
 # ---------------------------------------------------------------------------
@@ -226,38 +220,31 @@ def _suite_preserver(
     probes = wigner_probes(max(dims))
     direct = TransitionTable.direct(probes)
 
-    for label, gen in generators.items():
-        devs_j, devs_b, devs_r2, devs_spec = [], [], [], []
-        for dim in dims:
-            rng = rng_for(seed + 4000 * dim)
-            for _ in range(10):
-                p, q = random_pure(dim, rng), random_pure(dim, rng)
-                truth = transition_probability(p, q)
-                j_val = jensen(gen, p.to_state(), q.to_state(), tols=tols)
-                devs_j.append(abs(transition_from_jensen(gen, j_val, tols=tols) - truth))
+    devs = {label: defaultdict(list) for label in generators}
+    for dim in dims:
+        rng = rng_for(seed + 4000 * dim)
+        for _ in range(10):
+            p, q = random_pure(dim, rng), random_pure(dim, rng)
+            truth = transition_probability(p, q)
+            p_state, q_state = p.to_state(), q.to_state()
+            for label, gen in generators.items():
+                j_val = jensen(gen, p_state, q_state, tols=tols)
+                devs[label]["j"].append(abs(transition_from_jensen(gen, j_val, tols=tols) - truth))
                 if gen.finite_zero_slope:
                     h_val = bregman_rank_one_pair(gen, p, q, tols=tols)
-                    devs_b.append(abs(transition_from_bregman(gen, h_val, tols=tols) - truth))
-        recovered = probe_transitions_via_divergence(gen, probes, "bregman", tols=tols)
-        devs_r2.append(recovered.max_deviation(direct))
+                    devs[label]["b"].append(abs(transition_from_bregman(gen, h_val, tols=tols) - truth))
+    for label, gen in generators.items():
+        found = devs[label]
+        recovery = probe_transitions_via_divergence(gen, probes, "bregman", tols=tols).max_deviation(direct)
+        devs_spec = []
         for lam in lam_grid:
             delta = gen.slope(1.0 - lam) - gen.slope(lam)
             devs_spec.append(abs(recover_rank_two_spectrum(gen, delta, tols=tols) - lam))
-        report.checks.append(
-            CheckResult(f"transition-from-jensen[{label}]", _worst(devs_j) <= 1e-6, _worst(devs_j), 1e-6)
-        )
-        if devs_b:
-            report.checks.append(
-                CheckResult(f"transition-from-bregman[{label}]", _worst(devs_b) <= 1e-8, _worst(devs_b), 1e-8)
-            )
-        report.checks.append(
-            CheckResult(
-                f"transitions-via-divergence[{label}]", _worst(devs_r2) <= 1e-6, _worst(devs_r2), 1e-6
-            )
-        )
-        report.checks.append(
-            CheckResult(f"spectrum-recovery[{label}]", _worst(devs_spec) <= 1e-8, _worst(devs_spec), 1e-8)
-        )
+        report.checks.append(_within(f"transition-from-jensen[{label}]", found["j"], 1e-6))
+        if found["b"]:
+            report.checks.append(_within(f"transition-from-bregman[{label}]", found["b"], 1e-8))
+        report.checks.append(_within(f"transitions-via-divergence[{label}]", [recovery], 1e-6))
+        report.checks.append(_within(f"spectrum-recovery[{label}]", devs_spec, 1e-8))
 
     gen_cycle = list(generators.items())
     kinds = ("bregman", "jensen")
@@ -265,6 +252,7 @@ def _suite_preserver(
     devs_wigner = []
     for dim in dims:
         rng = rng_for(seed + 5000 * dim)
+        dim_probes = wigner_probes(dim)
         for idx, antiunitary in enumerate((False, True, False, True)):
             op = SymmetryOp(matrix=haar_unitary(dim, rng), antiunitary=antiunitary)
             label, gen = gen_cycle[idx % len(gen_cycle)]
@@ -277,22 +265,18 @@ def _suite_preserver(
             devs_conj.append(outcome.max_state_residual)
             if outcome.antiunitary != antiunitary:
                 flag_errors += 1
-            images = [op.apply_projection(probe) for probe in wigner_probes(dim)]
+            images = [op.apply_projection(probe) for probe in dim_probes]
             rebuilt = wigner_reconstruct(images, tols=tols)
             for _ in range(25):
                 r = random_pure(dim, rng)
                 devs_wigner.append(
                     float(np.max(np.abs(rebuilt.apply_matrix(r.matrix) - op.apply_matrix(r.matrix))))
                 )
-    report.checks.append(
-        CheckResult("conjugation-verification", _worst(devs_conj) <= 1e-8, _worst(devs_conj), 1e-8)
-    )
+    report.checks.append(_within("conjugation-verification", devs_conj, 1e-8))
     report.checks.append(
         CheckResult("antiunitary-flags", flag_errors == 0, float(flag_errors), 0.0)
     )
-    report.checks.append(
-        CheckResult("wigner-roundtrip", _worst(devs_wigner) <= 1e-8, _worst(devs_wigner), 1e-8)
-    )
+    report.checks.append(_within("wigner-roundtrip", devs_wigner, 1e-8))
 
     margins = []
     for dim in dims:
@@ -320,9 +304,12 @@ def _suite_convexity(
     report: RunReport, dims, generators: dict[str, NormalizedGenerator], seed: int, tols: Tolerances
 ) -> None:
     samples = 40
-    for label, gen in generators.items():
-        min_gap = math.inf
-        max_joint_violation = -math.inf
+    min_gap = dict.fromkeys(generators, math.inf)
+    max_joint_violation = dict.fromkeys(generators, -math.inf)
+    # Members draw two more states per sample, so each membership value that
+    # occurs has its own sample stream, shared by the generators that have it.
+    for member in dict.fromkeys(gen.matrix_entropy_member for gen in generators.values()):
+        group = {label: gen for label, gen in generators.items() if gen.matrix_entropy_member == member}
         for dim in dims:
             rng = rng_for(seed + 6000 * dim)
             for _ in range(samples):
@@ -331,26 +318,29 @@ def _suite_convexity(
                 d = random_state(dim, rng=rng, eigenvalue_floor=1e-3)
                 t = float(rng.uniform(0.1, 0.9))
                 mix = DensityState.from_matrix(t * a.matrix + (1.0 - t) * b.matrix, tols)
-                gap = (
-                    t * bregman(gen, a, d, tols=tols)
-                    + (1.0 - t) * bregman(gen, b, d, tols=tols)
-                    - bregman(gen, mix, d, tols=tols)
-                )
-                min_gap = min(min_gap, gap)
-                if gen.matrix_entropy_member:
+                if member:
                     a2 = random_state(dim, rng=rng, eigenvalue_floor=1e-3)
                     b2 = random_state(dim, rng=rng, eigenvalue_floor=1e-3)
                     mix_a = DensityState.from_matrix(t * a.matrix + (1.0 - t) * a2.matrix, tols)
                     mix_b = DensityState.from_matrix(t * b.matrix + (1.0 - t) * b2.matrix, tols)
-                    violation = bregman(gen, mix_a, mix_b, tols=tols) - (
-                        t * bregman(gen, a, b, tols=tols) + (1.0 - t) * bregman(gen, a2, b2, tols=tols)
+                for label, gen in group.items():
+                    gap = (
+                        t * bregman(gen, a, d, tols=tols)
+                        + (1.0 - t) * bregman(gen, b, d, tols=tols)
+                        - bregman(gen, mix, d, tols=tols)
                     )
-                    max_joint_violation = max(max_joint_violation, violation)
+                    min_gap[label] = min(min_gap[label], gap)
+                    if member:
+                        violation = bregman(gen, mix_a, mix_b, tols=tols) - (
+                            t * bregman(gen, a, b, tols=tols) + (1.0 - t) * bregman(gen, a2, b2, tols=tols)
+                        )
+                        max_joint_violation[label] = max(max_joint_violation[label], violation)
+    for label, gen in generators.items():
         report.checks.append(
             CheckResult(
                 f"strict-convexity-first-argument[{label}]",
-                min_gap > 0.0,
-                min_gap,
+                min_gap[label] > 0.0,
+                min_gap[label],
                 0.0,
                 "recorded value is the smallest sampled convexity gap (the f-dependent floor)",
             )
@@ -359,8 +349,8 @@ def _suite_convexity(
             report.checks.append(
                 CheckResult(
                     f"joint-convexity[{label}]",
-                    max_joint_violation <= 1e-9,
-                    max_joint_violation,
+                    max_joint_violation[label] <= 1e-9,
+                    max_joint_violation[label],
                     1e-9,
                     "largest sampled violation of the joint convexity inequality",
                 )

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from statediv import density_state, random_state, rng_for
+from statediv import density_state, rng_for
 from statediv.cli import main
 from statediv.files import read_state, read_symmetry, read_table, write_state
 
@@ -146,21 +146,11 @@ class TestTable:
         table = read_table(out)
         assert all(np.isfinite(v) for row in table.values for v in row)
 
-    def test_parallel_matches_serial(self, tmp_path):
-        rng = rng_for(55)
-        paths = []
-        for k in range(4):
-            path = tmp_path / f"s{k}.json"
-            write_state(path, random_state(3, rng=rng))
-            paths.append(path)
-        serial = tmp_path / "serial.json"
-        parallel = tmp_path / "parallel.json"
-        assert cli("table", "--kind", "jensen", "--f", "quadratic", *paths, "-o", serial).returncode == 0
-        assert (
-            cli("table", "--kind", "jensen", "--f", "quadratic", *paths, "--jobs", 4, "-o", parallel).returncode
-            == 0
-        )
-        assert serial.read_bytes() == parallel.read_bytes()
+    def test_jobs_flag_is_usage_error(self, tmp_path, basis_states):
+        e1, e2 = basis_states
+        result = cli("table", "--kind", "jensen", "--f", "quadratic", e1, e2, "--jobs", 4)
+        assert result.returncode == 2
+        assert "--jobs" in result.stderr
 
 
 class TestReconstructAndVerify:
@@ -283,6 +273,48 @@ class TestSuite:
         assert "wall time" in result.stderr
         report = json.loads(out.read_text())
         assert "wall_time_s" not in report
+
+
+class TestInProcessReuse:
+    """``main`` reuses one parser per process: no call may leak into the next."""
+
+    @staticmethod
+    def _run(calls, monkeypatch, capsys):
+        results = []
+        for argv, env in calls:
+            with monkeypatch.context() as m:
+                m.delenv("STATEDIV_TOL_TRACE", raising=False)
+                for name, value in env.items():
+                    m.setenv(name, value)
+                try:
+                    code = main([str(a) for a in argv])
+                except SystemExit as exc:
+                    code = exc.code
+            results.append((code, capsys.readouterr().out))
+        return results
+
+    def test_call_order_does_not_matter(self, tmp_path, basis_states, monkeypatch, capsys):
+        e1, e2 = basis_states
+        off_trace = tmp_path / "off.json"
+        matrix = np.diag([0.52, 0.52])
+        off_trace.write_text(json.dumps({"dim": 2, "re": matrix.real.tolist(), "im": matrix.imag.tolist()}))
+        loose = {"STATEDIV_TOL_TRACE": "1e-1"}
+        calls = [
+            (["div", "bregman", "--f", "quadratic", e1, e2], {}),
+            (["div", "bregman", "--f", "quadratic", e1, off_trace], {}),
+            (["div", "bregman", "--f", "quadratic", e1, off_trace], loose),
+            (["div", "bregman", "--f", "quadratic", "--tol-trace", "1e-9", e1, off_trace], loose),
+            (["table", "--kind", "bregman", "--f", "xlogx", e1, e2, "--jobs", 2], {}),
+            (["div", "jensen", "--f", "xlogx", "--eps-supp", "1e-6", e1, e2], {}),
+            (["table", "--kind", "jensen", "--f", "power:q=3/2", e1, e2], {}),
+            (["verify", "--kind", "jensen", "--f", "quadratic", "--oracle", "transpose", "--dim", 3], {}),
+            (["suite", "convexity", "--dims", 2, "--seed", 3, "--f", "quadratic"], {}),
+            (["suite", "nonsense"], {}),
+        ]
+        forward = self._run(calls, monkeypatch, capsys)
+        backward = self._run(calls[::-1], monkeypatch, capsys)
+        assert forward == backward[::-1]
+        assert [code for code, _ in forward] == [0, 4, 0, 4, 2, 0, 0, 0, 0, 2]
 
 
 class TestToleranceFlags:

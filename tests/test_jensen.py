@@ -114,6 +114,16 @@ class TestRankOneLaw:
             jensen_rank_one(QUAD, 1.5)
         with pytest.raises(ParameterError):
             jensen_rank_one(QUAD, -0.2)
+        with pytest.raises(ParameterError):
+            jensen_rank_one(QUAD, math.nan)
+        with pytest.raises(ParameterError):
+            jensen_rank_one(QUAD, np.array([0.5, math.nan]))
+        with pytest.raises(ParameterError):
+            jensen_rank_one(QUAD, np.array([[0.5, 1.5]]))
+
+    def test_array_keeps_shape(self):
+        p = np.array([[0.0, 0.5], [0.5, 1.0]])
+        np.testing.assert_allclose(jensen_rank_one(QUAD, p), (1.0 - p) / 2.0, atol=1e-14)
 
 
 class TestMaxConstant:

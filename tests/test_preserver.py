@@ -27,6 +27,7 @@ from statediv import (
     is_pure_by_max,
     jensen,
     jensen_max_constant,
+    jensen_rank_one,
     max_divergence_functional,
     max_probe_residual,
     normalize,
@@ -172,6 +173,33 @@ class TestSpectrumRecovery:
             recover_rank_two_spectrum(QUAD, -1.0)
         with pytest.raises(RangeError):
             recover_rank_two_spectrum(QUAD, 2.5)  # beyond f'(1) - f'(0) = 2
+
+
+NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
+class TestNonFiniteInversionInputs:
+    RANK_TWO_MIDDLE = 0.5 * (-XLOGX.slope(0.25) - XLOGX.slope(0.75)) + rank_two_offset(XLOGX, 0.25)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_float_rejected(self, bad):
+        with pytest.raises(RangeError):
+            transition_from_bregman(QUAD, bad)
+        with pytest.raises(RangeError):
+            transition_from_bregman_rank_two(XLOGX, 0.25, bad)
+        with pytest.raises(RangeError):
+            transition_from_jensen(QUAD, bad)
+        with pytest.raises(RangeError):
+            recover_rank_two_spectrum(XLOGX, bad)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_array_entry_rejected(self, bad):
+        with pytest.raises(RangeError):
+            transition_from_bregman(QUAD, np.array([0.1, bad, 0.2]))
+        with pytest.raises(RangeError):
+            transition_from_bregman_rank_two(XLOGX, 0.25, np.array([self.RANK_TWO_MIDDLE, bad]))
+        with pytest.raises(RangeError):
+            transition_from_jensen(QUAD, np.array([0.1, bad, 0.2]))
 
 
 class TestRankTwoExtremalValues:
@@ -420,6 +448,18 @@ class TestTransitionsViaDivergence:
         ]
         recovered = probe_transitions_via_divergence(f, family, "bregman")
         assert recovered.values[0, 1] == 1.0
+
+    @pytest.mark.parametrize("f", ALL_GENERATORS, ids=lambda f: f.name)
+    @pytest.mark.parametrize("dim", [3, 8, 16])
+    def test_jensen_route_equals_per_pair_float_inversion(self, f, dim):
+        # images of the probes under a random antiunitary: transitions off the dyadic grid
+        op = SymmetryOp(matrix=haar_unitary(dim, rng_for(260 + dim)), antiunitary=True)
+        images = [op.apply_projection(p) for p in wigner_probes(dim)]
+        recovered = probe_transitions_via_divergence(f, images, "jensen").values
+        gram = _gram(images)
+        for a, b in zip(*np.triu_indices(len(images), 1)):
+            expected = transition_from_jensen(f, jensen_rank_one(f, float(gram[a, b])))
+            assert recovered[a, b] == recovered[b, a] == expected
 
     def test_case_one_uses_rank_two_probing(self):
         # xlogx rank-one Bregman values are 0/inf; the recovered table must

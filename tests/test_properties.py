@@ -23,13 +23,16 @@ from statediv import (
     haar_unitary,
     jensen,
     jensen_max_constant,
+    jensen_rank_one,
     jensen_via_bregman,
     parse_generator,
     random_state,
     rng_for,
     support_contained,
+    transition_from_jensen,
 )
 from statediv.generators import catalog
+from statediv.preserver import BISECT_TOL
 
 GENERATORS = [parse_generator(s) for s in ("xlogx", "power:q=3/2", "quadratic")]
 EPS, CT = DEFAULT_TOLS.eps_supp, DEFAULT_TOLS.cluster_tol
@@ -144,3 +147,33 @@ def test_infinite_iff_support_not_contained(pair):
         expect_inf = not f.finite_zero_slope and not contained
         assert math.isinf(bregman(f, x, y)) == expect_inf
         assert math.isinf(bregman_trace_form(f, x, y)) == expect_inf
+
+
+JENSEN_GENERATORS = [catalog("quadratic"), catalog("std_entropy")] + [
+    catalog("power", q=q) for q in (1.25, 1.5, 3.0)
+]
+
+
+def _float_bisection(f, j: float) -> float:
+    """The float loop of transition_from_jensen, written out as the reference."""
+    m_f = jensen_max_constant(f)
+    j = min(max(j, 0.0), m_f)
+    lo, hi = 0.0, 1.0
+    while hi - lo > BISECT_TOL:
+        mid = 0.5 * (lo + hi)
+        if jensen_rank_one(f, mid) > j:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@given(st.sampled_from(JENSEN_GENERATORS), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=30))
+def test_array_jensen_inversion_equals_float_calls(f, fractions):
+    m_f = jensen_max_constant(f)
+    j = np.array([u * m_f for u in fractions] + [0.0, m_f, m_f * 1e-12])
+    inverted = transition_from_jensen(f, j).tolist()
+    assert inverted == [transition_from_jensen(f, x) for x in j.tolist()]
+    assert inverted == [_float_bisection(f, x) for x in j.tolist()]
+    p = np.array(fractions + [0.0, 1.0])
+    assert jensen_rank_one(f, p).tolist() == [jensen_rank_one(f, x) for x in p.tolist()]
