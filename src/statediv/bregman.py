@@ -16,12 +16,13 @@ results (rounding noise on a nonnegative quantity) are clamped to 0.
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 import numpy as np
 
 from .config import DEFAULT_TOLS, Tolerances
 from .errors import DimensionMismatchError, ParameterError, ValidationError
-from .generators import GeneratorFunction, normalize
+from .generators import GeneratorFunction, NormalizedGenerator, normalize
 from .hermitian import (
     DensityState,
     RankOneProjection,
@@ -86,19 +87,54 @@ def bregman(
     are skipped: orthogonal eigenvectors come out with overlaps of rounding
     size, and skipping them makes H_f(X, X) exactly 0.
     """
-    f = normalize(f)
-    _check_dims(x, y)
-    sx, sy = x.spectral, y.spectral
-    inner = sx.v.conj().T @ sy.v
+    return _bregman_pairs(normalize(f), [x], [y], tols)[0]
+
+
+def _bregman_pairs(
+    f: NormalizedGenerator, xs: Sequence[DensityState], ys: Sequence[DensityState], tols: Tolerances
+) -> list[float]:
+    """H_f(xs[k], ys[k]) for every k, as in :func:`bregman`, its one-pair case.
+
+    Pairs are grouped by the number n of Y's eigenvalues their double sum
+    keeps (d, or rank Y in the infinite class); each group is one stack, so
+    each pair's sum has the shape, and the bits, of a one-pair call.
+    """
+    groups: dict[int, list[int]] = {}
+    for k, (x, y) in enumerate(zip(xs, ys)):
+        _check_dims(x, y)
+        groups.setdefault(y.dim if f.finite_zero_slope else y.rank, []).append(k)
+    values = [INF] * len(ys)
+    for n, ks in groups.items():
+        sums = _double_sums(f, [xs[k] for k in ks], [ys[k] for k in ks], n, tols)
+        for k, value in zip(ks, sums.tolist()):
+            values[k] = _clamp_nonneg(value, tols.tol_num)
+    return values
+
+
+def _double_sums(
+    f: NormalizedGenerator, xs: Sequence[DensityState], ys: Sequence[DensityState], n: int, tols: Tolerances
+) -> np.ndarray:
+    """The double sums over the first n eigenvalues of each Y; ``inf`` where X leaks
+    into the kernel of Y (n < d, the infinite class).
+
+    The overlaps are one d x d product per pair; the rest is stacked.
+    """
+    inner = np.array([x.spectral.v.conj().T @ y.spectral.v for x, y in zip(xs, ys)])
     weights = inner.real**2 + inner.imag**2
-    n = sy.dim
-    if not f.finite_zero_slope:
-        if sx.w @ weights[:, y.rank :].sum(axis=1) >= tols.eps_supp:  # as in support_contained
-            return INF
-        n = y.rank
-    a, b, weights = sx.w[:, None], sy.w[:n], weights[:, :n]
-    terms = (f.values(a) - f.values(b) - f.slopes(b) * (a - b)) * weights
-    return _clamp_nonneg(terms.sum(where=weights >= tols.tol_num**2), tols.tol_num)
+    leaks = None
+    if n < weights.shape[2]:  # as in support_contained
+        kernel = weights[:, :, n:].sum(axis=2)
+        leaks = [x.spectral.w @ k >= tols.eps_supp for x, k in zip(xs, kernel)]
+        if all(leaks):
+            return np.full(len(xs), INF)
+    w = np.array([[x.spectral.w for x in xs], [y.spectral.w for y in ys]])
+    fx, fy = f.values(w)
+    a, b, kept = w[0, :, :, None], w[1, :, None, :n], weights[:, :, :n]
+    terms = (fx[:, :, None] - fy[:, None, :n] - f.slopes(b) * (a - b)) * kept
+    sums = terms.sum(axis=(1, 2), where=kept >= tols.tol_num**2)
+    if leaks is not None:
+        sums[leaks] = INF
+    return sums
 
 
 def bregman_trace_form(

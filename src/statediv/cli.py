@@ -277,7 +277,7 @@ def _cmd_verify(args: argparse.Namespace, tols: Tolerances) -> int:
 
 
 def _cmd_suite(args: argparse.Namespace, tols: Tolerances) -> int:
-    command = "statediv " + " ".join(sys.argv[1:]) if sys.argv else "statediv suite"
+    command = "statediv " + " ".join(args.argv)
     report = run_suite(
         args.name,
         dims=tuple(args.dims),
@@ -324,7 +324,9 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = _parser().parse_args(argv)
+    args.argv = argv  # the suite report records the command it ran
     tols = _resolve_tols(args)
     try:
         return _COMMANDS[args.command](args, tols)

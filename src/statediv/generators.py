@@ -47,6 +47,11 @@ class GeneratorFunction:
     elementwise on numpy arrays (``np.log``, not ``math.log``); ``values`` and
     ``slopes`` evaluate whole arrays.  ``value_at_zero`` and ``slope_at_zero``
     are the declared limits f(0+) and f'(0+), the latter possibly ``-inf``.
+
+    ``values(x)`` and ``f(x)`` can differ in the last bit: ``x**q`` is numpy's
+    vectorised ``pow`` on arrays and libm ``pow`` on floats (for power
+    generators a few percent of points on [0, 1] differ).  A route that must
+    equal a float route bit for bit evaluates the scalar generator.
     """
 
     name: str

@@ -38,8 +38,8 @@ __all__ = [
 
 
 def hermitian_part(matrix: np.ndarray) -> np.ndarray:
-    """Return (M + M*)/2."""
-    return (matrix + matrix.conj().T) / 2
+    """Return (M + M*)/2, of one matrix or of each matrix in a stack."""
+    return (matrix + matrix.conj().swapaxes(-1, -2)) / 2
 
 
 def validate_hermitian(matrix: np.ndarray, tol_herm: float = DEFAULT_TOLS.tol_herm) -> np.ndarray:

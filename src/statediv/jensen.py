@@ -9,12 +9,13 @@ attained exactly at orthogonal pure state pairs.
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 import numpy as np
 
 from .config import DEFAULT_TOLS, Tolerances
 from .errors import DomainError, ParameterError
-from .generators import GeneratorFunction, normalize
+from .generators import GeneratorFunction, NormalizedGenerator, normalize
 from .hermitian import DensityState, SpectralDecomposition, hermitian_part
 from .bregman import _check_dims, _clamp_nonneg, bregman
 
@@ -66,15 +67,30 @@ def jensen(
     When A and B share one eigenvector array the midpoint spectrum is
     (w_A + w_B)/2, so J_f(A, A) is exactly 0.
     """
-    f = normalize(f)
+    return _jensen_pairs(normalize(f), [a], [b], tols)[0]
+
+
+def _jensen_pairs(
+    f: NormalizedGenerator, xs: Sequence[DensityState], ys: Sequence[DensityState], tols: Tolerances
+) -> list[float]:
+    """J_f(xs[k], ys[k]) for every k, as in :func:`jensen`, its one-pair case.
+
+    The states share one dimension.  Midpoint matrices are built per pair
+    and go through one stacked ``eigvalsh``; the generator is evaluated
+    once on the stack of all spectra.
+    """
     _require_finite_at_zero(f)
-    if a.spectral.v is b.spectral.v:
-        mid = (a.spectral.w + b.spectral.w) / 2.0
-    else:
-        mid = np.maximum(np.linalg.eigvalsh(_midpoint_matrix(a, b)), 0.0)
-    spectra = (a.spectral.w, b.spectral.w, mid)
-    fa, fb, fm = (float(f.values(w).sum()) for w in spectra)
-    return _clamp_nonneg(0.5 * (fa + fb) - fm, tols.tol_num)
+    for x, y in zip(xs, ys):
+        _check_dims(x, y)
+    wx = np.array([x.spectral.w for x in xs])
+    wy = np.array([y.spectral.w for y in ys])
+    mid = (wx + wy) / 2.0
+    apart = [k for k, (x, y) in enumerate(zip(xs, ys)) if x.spectral.v is not y.spectral.v]
+    if apart:
+        midpoints = np.array([_midpoint_matrix(xs[k], ys[k]) for k in apart])
+        mid[apart] = np.maximum(np.linalg.eigvalsh(midpoints), 0.0)
+    fx, fy, fm = f.values(np.array([wx, wy, mid])).sum(axis=2)
+    return [_clamp_nonneg(value, tols.tol_num) for value in (0.5 * (fx + fy) - fm).tolist()]
 
 
 def jensen_rank_one(

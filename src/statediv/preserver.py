@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bregman import bregman, rank_two_offset, _check_lambda
+from .bregman import _bregman_pairs, _check_lambda, rank_two_offset
 from .config import DEFAULT_TOLS, Tolerances
 from .errors import (
     DegenerateProbeError,
@@ -35,8 +35,8 @@ from .hermitian import (
     hermitian_part,
     transition_probability,
 )
-from .jensen import _rank_one_value, jensen, jensen_max_constant, jensen_rank_one
-from .sampling import random_pure, random_state, rng_for
+from .jensen import _jensen_pairs, _rank_one_value, jensen_max_constant, jensen_rank_one
+from .sampling import _random_states, random_pure, rng_for
 
 __all__ = [
     "SymmetryOp",
@@ -815,7 +815,7 @@ def verify_preserver(
     rng = rng_for(seed)
     dim = oracle.dim
 
-    inputs = [random_state(dim, rng=rng) for _ in range(2 * sample_size)]
+    inputs = _random_states(2 * sample_size, dim, rng=rng, tols=tols)
     inputs.append(random_pure(dim, rng).to_state(tols))
     inputs.append(random_pure(dim, rng).to_state(tols))
     images = [oracle(state) for state in inputs]
@@ -823,16 +823,12 @@ def verify_preserver(
     pair_indices = [(2 * k, 2 * k + 1) for k in range(sample_size)]
     pair_indices += [(len(inputs) - 2, len(inputs) - 1), (len(inputs) - 2, 0)]
 
-    def divergence(a: DensityState, b: DensityState) -> float:
-        if kind == "bregman":
-            return bregman(f, a, b, tols=tols)
-        return jensen(f, a, b, tols=tols)
+    def divergences(states: list[DensityState]) -> list[float]:
+        score = _bregman_pairs if kind == "bregman" else _jensen_pairs
+        return score(f, [states[a] for a, _ in pair_indices], [states[b] for _, b in pair_indices], tols)
 
-    max_div_dev = 0.0
-    for a, b in pair_indices:
-        before = divergence(inputs[a], inputs[b])
-        after = divergence(images[a], images[b])
-        max_div_dev = max(max_div_dev, _divergence_deviation(before, after))
+    before, after = divergences(inputs), divergences(images)
+    max_div_dev = max(_divergence_deviation(u, v) for u, v in zip(before, after))
 
     probes = wigner_probes(dim)
     probe_images: list[RankOneProjection] = []
@@ -863,12 +859,10 @@ def verify_preserver(
         except (NotAPreserverError, DegenerateProbeError) as exc:
             reconstruction_error = str(exc)
         if symmetry is not None:
-            state_residual = 0.0
-            for state, image in zip(inputs, images):
-                predicted = symmetry.apply_matrix(state.matrix)
-                state_residual = max(
-                    state_residual, float(np.max(np.abs(predicted - image.matrix)))
-                )
+            state_residual = max(
+                float(np.max(np.abs(symmetry.apply_matrix(state.matrix) - image.matrix)))
+                for state, image in zip(inputs, images)
+            )
 
     return PreserverVerification(
         kind=kind,

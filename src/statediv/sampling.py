@@ -39,10 +39,15 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """
     if dim < 1:
         raise ParameterError(f"dimension must be >= 1, got {dim}")
-    q, r = np.linalg.qr(_ginibre(dim, rng))
-    phases = np.diagonal(r).copy()
+    return _haar(_ginibre(dim, rng))
+
+
+def _haar(ginibre: np.ndarray) -> np.ndarray:
+    """The phase-fixed Q factor of each Ginibre matrix in a (..., d, d) stack."""
+    q, r = np.linalg.qr(ginibre)
+    phases = np.diagonal(r, axis1=-2, axis2=-1).copy()
     phases /= np.abs(phases)
-    return q * phases
+    return q * phases[..., None, :]
 
 
 def random_pure(dim: int, rng: np.random.Generator) -> RankOneProjection:
@@ -76,20 +81,43 @@ def random_state(
     (w, V) as its decomposition, sorted descending with weights below
     ``eps_supp`` set to 0; no eigendecomposition runs.
     """
+    return _random_states(1, dim, rank, rng=rng, eigenvalue_floor=eigenvalue_floor, tols=tols)[0]
+
+
+def _random_states(
+    n: int,
+    dim: int,
+    rank: int | None = None,
+    *,
+    rng: np.random.Generator,
+    eigenvalue_floor: float = 0.0,
+    tols: Tolerances = DEFAULT_TOLS,
+) -> list[DensityState]:
+    """``n`` random states, bit for bit those of ``n`` consecutive ``random_state`` calls.
+
+    The rng is drawn state by state in the order of those calls (simplex
+    weights, then the real and the imaginary Ginibre parts); the QR, the
+    phase fix and the sort run once on the stack.  Each matrix is its own
+    d x d product and each eigenvector array its own column gather.
+    """
     if dim < 1:
         raise ParameterError(f"dimension must be >= 1, got {dim}")
     rank = dim if rank is None else rank
     if not 1 <= rank <= dim:
         raise ParameterError(f"rank must lie in [1, {dim}], got {rank}")
-    weights = random_simplex_point(rank, rng)
+    spectrum = np.zeros((n, dim))
+    gaussian = np.empty((n, 2, dim, dim))
+    for k in range(n):
+        spectrum[k, :rank] = random_simplex_point(rank, rng)
+        rng.standard_normal(out=gaussian[k])
     if eigenvalue_floor > 0.0:
-        weights = (weights + eigenvalue_floor) / (1.0 + rank * eigenvalue_floor)
-    spectrum = np.zeros(dim)
-    spectrum[:rank] = weights
-    basis = haar_unitary(dim, rng)
-    matrix = hermitian_part((basis * spectrum) @ basis.conj().T)
-    order = np.argsort(-spectrum, kind="stable")
-    w = spectrum[order]
+        spectrum[:, :rank] = (spectrum[:, :rank] + eigenvalue_floor) / (1.0 + rank * eigenvalue_floor)
+    basis = _haar((gaussian[:, 0] + 1j * gaussian[:, 1]) / np.sqrt(2.0))
+    matrices = hermitian_part(np.array([(b * s) @ b.conj().T for b, s in zip(basis, spectrum)]))
+    order = np.argsort(-spectrum, axis=1, kind="stable")
+    w = spectrum[np.arange(n)[:, None], order]
     w[w < tols.eps_supp] = 0.0
-    spectral = SpectralDecomposition(w=w, v=basis[:, order], cluster_tol=tols.cluster_tol)
-    return DensityState(matrix=matrix, spectral=spectral)
+    return [
+        DensityState(matrix=m, spectral=SpectralDecomposition(w=wk, v=b[:, o], cluster_tol=tols.cluster_tol))
+        for m, wk, b, o in zip(matrices, w, basis, order)
+    ]

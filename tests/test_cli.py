@@ -275,6 +275,13 @@ class TestSuite:
         assert "wall_time_s" not in report
 
 
+    def test_in_process_report_records_its_own_arguments(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["host-program", "--some", "flag"])
+        assert main(["suite", "convexity", "--dims", "2", "--f", "quadratic"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["command"] == "statediv suite convexity --dims 2 --f quadratic"
+
+
 class TestInProcessReuse:
     """``main`` reuses one parser per process: no call may leak into the next."""
 

@@ -3,9 +3,10 @@
 ``random_state`` attaches its simplex weights and Haar columns, conjugation
 and transpose images attach the input's eigenvalues with the moved
 eigenvectors, and clustering runs only when clusters are read.  These tests
-check that the attached decompositions describe the stored matrices, that
-the preserver engine calls ``eigh`` only for maps whose images have an
-unknown spectrum, and the exact rules that used to come from an ``eigh``.
+check that the attached decompositions describe the stored matrices, that a
+stacked draw equals consecutive ``random_state`` calls bit for bit, that the
+preserver engine calls ``eigh`` only for maps whose images have an unknown
+spectrum, and the exact rules that used to come from an ``eigh``.
 """
 
 import subprocess
@@ -32,7 +33,7 @@ from statediv import (
     verify_preserver,
     wigner_probes,
 )
-from statediv import hermitian
+from statediv import hermitian, sampling
 
 EPS, CT = DEFAULT_TOLS.eps_supp, DEFAULT_TOLS.cluster_tol
 ROUTES = [("bregman", "xlogx"), ("bregman", "quadratic"), ("jensen", "quadratic")]
@@ -87,6 +88,44 @@ class TestAttachedDecompositions:
             np.testing.assert_array_equal(image.spectral.w, state.spectral.w)
             expected = op.apply_matrix(state.matrix)
             np.testing.assert_array_equal(image.matrix, (expected + expected.conj().T) / 2)
+
+
+def _one_state(dim: int, rank: int, rng, eigenvalue_floor: float) -> tuple[np.ndarray, ...]:
+    """One ``random_state`` draw, written out per state as the reference: (matrix, w, V)."""
+    weights = rng.dirichlet(np.ones(rank))
+    if eigenvalue_floor > 0.0:
+        weights = (weights + eigenvalue_floor) / (1.0 + rank * eigenvalue_floor)
+    spectrum = np.zeros(dim)
+    spectrum[:rank] = weights
+    ginibre = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
+    q, r = np.linalg.qr(ginibre)
+    phases = np.diagonal(r).copy()
+    phases /= np.abs(phases)
+    basis = q * phases
+    product = (basis * spectrum) @ basis.conj().T
+    order = np.argsort(-spectrum, kind="stable")
+    w = spectrum[order]
+    w[w < EPS] = 0.0
+    return (product + product.conj().T) / 2, w, basis[:, order]
+
+
+class TestStackedSampler:
+    @pytest.mark.parametrize("dim", [1, 2, 8, 64])
+    @pytest.mark.parametrize(
+        "rank, floor", [(None, 0.0), ("half", 0.0), (None, 1e-3)], ids=["full", "rank", "floor"]
+    )
+    def test_equals_consecutive_random_state_calls(self, dim, rank, floor):
+        rank = max(1, dim // 2) if rank == "half" else rank
+        rngs = [rng_for(1200 + dim) for _ in range(3)]
+        stacked = sampling._random_states(5, dim, rank, rng=rngs[0], eigenvalue_floor=floor)
+        single = [random_state(dim, rank, rng=rngs[1], eigenvalue_floor=floor) for _ in range(5)]
+        reference = [_one_state(dim, rank or dim, rngs[2], floor) for _ in range(5)]
+        for a, b, (matrix, w, v) in zip(stacked, single, reference):
+            for state in (a, b):
+                assert state.matrix.tobytes() == matrix.tobytes()
+                assert state.spectral.w.tobytes() == w.tobytes()
+                assert state.spectral.v.tobytes() == v.tobytes()
+        assert len({rng.integers(2**62) for rng in rngs}) == 1  # the same draws were consumed
 
 
 def test_conjugation_oracle_checks_unitarity_once():

@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -554,8 +556,6 @@ class TestVerifyPreserver:
         assert outcome.max_divergence_deviation > 1e-3
 
     def test_report_is_serializable(self):
-        import json
-
         rng = rng_for(222)
         op = SymmetryOp(matrix=haar_unitary(2, rng), antiunitary=True)
         outcome = verify_preserver(P15, conjugation_oracle(op), "bregman", sample_size=4, seed=7)
@@ -581,6 +581,78 @@ class TestVerifyPreserver:
         op = SymmetryOp(matrix=haar_unitary(2, rng), antiunitary=False)
         with pytest.raises(ParameterError):
             verify_preserver(QUAD, conjugation_oracle(op), "hellinger")
+
+
+# SHA-256 of json.dumps(verify_preserver(...).to_dict(), sort_keys=True) with
+# default arguments, taken when sampled states were drawn and scored one at a
+# time.  Conjugation oracles use haar_unitary(dim, rng_for(1100 + dim)).
+VERIFY_DIGESTS = {
+    (3, "bregman", "xlogx", "unitary"):
+        "d56d798b11b06a1c2cd6ea933117fe31944081192614210dad048cd2f420bb4c",
+    (3, "bregman", "xlogx", "antiunitary"):
+        "86fc59f86bb24103db80f045cb53cc6361b60812af28c9f0e513af8a7b4d1430",
+    (3, "bregman", "xlogx", "transpose"):
+        "76f88e1b8d7cf768dd182273ae864e6f29419ce92c0bb9b0fd3913945b7a63ae",
+    (3, "bregman", "xlogx", "depolarizing"):
+        "99ba6b1d79511cceadfe252dbab54fead2859e1884b626b04da6d3468ba3dfd9",
+    (3, "bregman", "quadratic", "unitary"):
+        "0a83b09836ae545fbcf3999a253275664db26ea51ac63a8bfa22a816061993fa",
+    (3, "bregman", "quadratic", "antiunitary"):
+        "6f11f08f08e64ffd547dbb517b820126cf024b07683c4c33b9f85c3e4e444d26",
+    (3, "bregman", "quadratic", "transpose"):
+        "8077b9b0b3ff12561aa436a065ac7ed35ee02a43d52faaa26dbeb7031ee98ace",
+    (3, "bregman", "quadratic", "depolarizing"):
+        "c303781b87fa9dcc28876e9fa7996f2688c827b8986258abe2bed47d469d6744",
+    (3, "jensen", "quadratic", "unitary"):
+        "b9d58606746ee9c82c44f31c171bd58c0ec0014a5d524190cb63053e86140565",
+    (3, "jensen", "quadratic", "antiunitary"):
+        "4aafe255169c9affb7b8937f9c14434bf4b1f67907f527ba92c3e54eb4030f60",
+    (3, "jensen", "quadratic", "transpose"):
+        "ca4560b6c6ca73a08b6d0ec2b342c829a3c3f47580e52d0e87bce281800c21b6",
+    (3, "jensen", "quadratic", "depolarizing"):
+        "3dd4574dd96eba6603393f9aade55a7f634acf8c75d0b3ea985b7d0ca843cd98",
+    (8, "bregman", "xlogx", "unitary"):
+        "6bbd241b34522ee9c2729f223fdf230f7ad04697f180ccfd7d5297b66558430d",
+    (8, "bregman", "xlogx", "antiunitary"):
+        "a080f0ba87b8b2c626f0af3404059a8a4c64e4633357495b344069f231ea95e8",
+    (8, "bregman", "xlogx", "transpose"):
+        "f285e355bc72da7bb08ab567306a8753c06771b12869722d0b4116140c3be0d4",
+    (8, "bregman", "xlogx", "depolarizing"):
+        "ec3172ff45bc27d2e7685baa43ce12e3bed28e52bae652d061d1e87d157b53da",
+    (8, "bregman", "quadratic", "unitary"):
+        "5cd02bd71d3d6f8da63b74dda262cebc640f50ce10e9f43b758c8772e058d85c",
+    (8, "bregman", "quadratic", "antiunitary"):
+        "4be5e7c87ee717b9de50db4b9cca35ca348ec8021a04b4d436ea8ac301ef0423",
+    (8, "bregman", "quadratic", "transpose"):
+        "2969f1a5380dff2ba0047e7782f0f70740f29288ce5306533e11319c524e556f",
+    (8, "bregman", "quadratic", "depolarizing"):
+        "00a8c70197fcce27c36842e277b3985d810f996a5a0f8d7d386fbcff5d96bcf0",
+    (8, "jensen", "quadratic", "unitary"):
+        "70ca781e75b1d1a5ae106c2946c38c22ee3b32e143c8a5d6eac2db1202d7edf1",
+    (8, "jensen", "quadratic", "antiunitary"):
+        "ef6fba4e97ca10e47334d41caa619baff81cc58296d7b8fe9d9251ce58263d29",
+    (8, "jensen", "quadratic", "transpose"):
+        "1d2176a805ad768d730a5d74226fc441da0c9e95c99ae43039edaebb3707520c",
+    (8, "jensen", "quadratic", "depolarizing"):
+        "e215941f0a062d4abe23bee20c9f6e8a3c8656c87c294f379337ebe0f5ad98e1",
+}
+
+
+def _pinned_oracle(name: str, dim: int) -> PreserverOracle:
+    if name == "transpose":
+        return transpose_oracle(dim)
+    if name == "depolarizing":
+        return depolarizing_oracle(dim)
+    op = SymmetryOp(matrix=haar_unitary(dim, rng_for(1100 + dim)), antiunitary=name == "antiunitary")
+    return conjugation_oracle(op)
+
+
+@pytest.mark.parametrize("dim, kind, spec, oracle", VERIFY_DIGESTS)
+def test_verify_report_bytes_are_pinned(dim, kind, spec, oracle):
+    outcome = verify_preserver(parse_generator(spec), _pinned_oracle(oracle, dim), kind)
+    assert outcome.passed == (oracle != "depolarizing")
+    payload = json.dumps(outcome.to_dict(), sort_keys=True)
+    assert hashlib.sha256(payload.encode()).hexdigest() == VERIFY_DIGESTS[dim, kind, spec, oracle]
 
 
 class TestOracles:

@@ -5,7 +5,9 @@ both sides of ``eps_supp`` and across ``cluster_tol``, bulk eigenvalues with
 twins just inside and just outside one ``cluster_tol``.  No drawn gap lies
 within a tenth of a knob of its threshold, so the eigensolver's rounding never
 decides a zero or a cluster.  Pairs either share an eigenbasis (nested and
-non-nested supports) or not.  The hypothesis profile is fixed in conftest.py.
+non-nested supports) or not.  Stacks of such pairs go through the stacked
+Bregman and Jensen cores, which must equal one-pair calls bit for bit.  The
+hypothesis profile is fixed in conftest.py.
 """
 
 import math
@@ -17,6 +19,8 @@ from hypothesis import strategies as st
 
 from statediv import (
     DEFAULT_TOLS,
+    DensityState,
+    SpectralDecomposition,
     bregman,
     bregman_trace_form,
     density_state,
@@ -25,13 +29,17 @@ from statediv import (
     jensen_max_constant,
     jensen_rank_one,
     jensen_via_bregman,
+    normalize,
     parse_generator,
+    random_pure,
     random_state,
     rng_for,
     support_contained,
     transition_from_jensen,
 )
+from statediv.bregman import _bregman_pairs, _clamp_nonneg
 from statediv.generators import catalog
+from statediv.jensen import _jensen_pairs
 from statediv.preserver import BISECT_TOL
 
 GENERATORS = [parse_generator(s) for s in ("xlogx", "power:q=3/2", "quadratic")]
@@ -177,3 +185,106 @@ def test_array_jensen_inversion_equals_float_calls(f, fractions):
     assert inverted == [_float_bisection(f, x) for x in j.tolist()]
     p = np.array(fractions + [0.0, 1.0])
     assert jensen_rank_one(f, p).tolist() == [jensen_rank_one(f, x) for x in p.tolist()]
+
+
+def _one_pair_bregman(f, x, y) -> float:
+    """The one-pair double sum of bregman, written out as the reference."""
+    f = normalize(f)
+    inner = x.spectral.v.conj().T @ y.spectral.v
+    weights = inner.real**2 + inner.imag**2
+    n = y.dim
+    if not f.finite_zero_slope:
+        if x.spectral.w @ weights[:, y.rank :].sum(axis=1) >= EPS:
+            return math.inf
+        n = y.rank
+    a, b, weights = x.spectral.w[:, None], y.spectral.w[:n], weights[:, :n]
+    terms = (f.values(a) - f.values(b) - f.slopes(b) * (a - b)) * weights
+    return _clamp_nonneg(terms.sum(where=weights >= DEFAULT_TOLS.tol_num**2), DEFAULT_TOLS.tol_num)
+
+
+def _one_pair_jensen(f, a, b) -> float:
+    """The one-pair midpoint spectrum and trace sums of jensen, written out as the reference."""
+    f = normalize(f)
+    if a.spectral.v is b.spectral.v:
+        mid = (a.spectral.w + b.spectral.w) / 2.0
+    else:
+        mid = np.maximum(np.linalg.eigvalsh((a.spectral.reconstruct() + b.spectral.reconstruct()) / 2.0), 0.0)
+    fa, fb, fm = (float(f.values(w).sum()) for w in (a.spectral.w, b.spectral.w, mid))
+    return _clamp_nonneg(0.5 * (fa + fb) - fm, DEFAULT_TOLS.tol_num)
+
+
+def _on_basis(spectrum: np.ndarray, v: np.ndarray) -> DensityState:
+    """The state with eigenvector array ``v`` itself attached, zeros decided."""
+    w = np.sort(spectrum)[::-1]
+    w[w < EPS] = 0.0
+    return DensityState(matrix=(v * w) @ v.conj().T, spectral=SpectralDecomposition(w=w, v=v))
+
+
+@st.composite
+def pair_stacks(draw):
+    """Pairs of one dimension: independent bases, permuted bases, one shared
+    eigenvector array (kernels nested or not) and a state with itself."""
+    dim = draw(st.integers(1, 9))
+    rng = rng_for(draw(st.integers(0, 2**16)))
+    xs, ys = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        basis = haar_unitary(dim, rng)
+        x = _state(draw(spectra(dim)), basis)
+        relation = draw(st.sampled_from(("independent", "permuted", "shared", "self")))
+        if relation == "independent":
+            y = _state(draw(spectra(dim)), haar_unitary(dim, rng))
+        elif relation == "permuted":
+            y = _state(draw(spectra(dim)), basis[:, draw(st.permutations(range(dim)))])
+        elif relation == "shared":
+            y = _on_basis(draw(spectra(dim)), x.spectral.v)
+        else:
+            y = x
+        if draw(st.booleans()):
+            x, y = y, x
+        xs.append(x)
+        ys.append(y)
+    return xs, ys
+
+
+def _bits(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+@given(pair_stacks(), st.sampled_from(GENERATORS))
+def test_stacked_bregman_equals_one_pair_calls(stack, f):
+    xs, ys = stack
+    stacked = _bregman_pairs(normalize(f), xs, ys, DEFAULT_TOLS)
+    assert _bits(stacked) == _bits(bregman(f, x, y) for x, y in zip(xs, ys))
+    assert _bits(stacked) == _bits(_one_pair_bregman(f, x, y) for x, y in zip(xs, ys))
+
+
+@given(pair_stacks(), st.sampled_from(GENERATORS))
+def test_stacked_jensen_equals_one_pair_calls(stack, f):
+    xs, ys = stack
+    stacked = _jensen_pairs(normalize(f), xs, ys, DEFAULT_TOLS)
+    assert _bits(stacked) == _bits(jensen(f, x, y) for x, y in zip(xs, ys))
+    assert _bits(stacked) == _bits(_one_pair_jensen(f, x, y) for x, y in zip(xs, ys))
+
+
+def test_stacked_divergences_cover_every_branch():
+    """One stack mixing full-rank, nested rank-deficient, leaking and pure second
+    arguments with shared-eigenvector pairs: xlogx keeps three eigenvalue counts."""
+    rng = rng_for(1301)
+    dim = 8
+    full = random_state(dim, rng=rng)
+    low = random_state(dim, 3, rng=rng)
+    nested = _on_basis(np.array([0.5, 0.3, 0.2] + [0.0] * (dim - 3)), low.spectral.v)
+    pure = random_pure(dim, rng).to_state()
+    xs = [full, nested, full, pure, low, full, nested]
+    ys = [random_state(dim, rng=rng), low, low, pure, nested, full, nested]
+    xlogx = normalize(GENERATORS[0])
+    values = _bregman_pairs(xlogx, xs, ys, DEFAULT_TOLS)
+    assert math.isinf(values[2]) and math.isfinite(values[1]) and values[3] == 0.0
+    assert len({y.rank for y in ys}) == 3
+    for f in GENERATORS:
+        assert _bits(_bregman_pairs(normalize(f), xs, ys, DEFAULT_TOLS)) == _bits(
+            _one_pair_bregman(f, x, y) for x, y in zip(xs, ys)
+        )
+        assert _bits(_jensen_pairs(normalize(f), xs, ys, DEFAULT_TOLS)) == _bits(
+            _one_pair_jensen(f, x, y) for x, y in zip(xs, ys)
+        )
