@@ -17,7 +17,6 @@ from .errors import (
 from .hermitian import (
     DensityState,
     RankOneProjection,
-    SpectralCluster,
     SpectralDecomposition,
     apply_function,
     decompose,
@@ -31,7 +30,6 @@ from .generators import (
     GeneratorFunction,
     GeneratorValidationReport,
     NormalizedGenerator,
-    catalog,
     normalize,
     parse_generator,
     power_generator,

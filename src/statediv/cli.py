@@ -155,7 +155,7 @@ _ORACLE_HELP = (
 
 def _parse_oracle(spec: str, dim: int, tols: Tolerances) -> PreserverOracle:
     if spec == "transpose":
-        return transpose_oracle(dim, tols)
+        return transpose_oracle(dim)
     if spec == "diagonal":
         return diagonal_oracle(dim, tols)
     if spec.startswith("depolarize:"):
@@ -239,7 +239,7 @@ def _cmd_probes(args: argparse.Namespace, tols: Tolerances) -> int:
     images = []
     for probe in wigner_probes(args.dim):
         image_state = oracle(probe.to_state(tols))
-        images.append(image_state.as_rank_one(tols.tol_num))
+        images.append(image_state.as_rank_one(tols))
     files.write_probe_images(args.output, images)
     return 0
 

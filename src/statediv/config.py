@@ -2,7 +2,7 @@
 
 The finite/infinite divergence dichotomy is discontinuous in the eigenvalues,
 so the zero decision is a single documented knob (``eps_supp``), kept separate
-from the eigenvalue clustering width (``cluster_tol``).
+from the degeneracy width (``cluster_tol``) that the pure-state test reads.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ class Tolerances:
     tol_trace   -- admissible deviation of a state's trace from 1
     tol_num     -- generic comparison tolerance (projections, clamping, ...)
     eps_supp    -- eigenvalues below this count as exactly 0 for support
-    cluster_tol -- eigenvalues closer than this are merged into one cluster
+    cluster_tol -- a state is pure only if no other eigenvalue of its leading
+                   eigenvalue's sign lies less than this below it
     """
 
     tol_herm: float = 1e-9

@@ -172,7 +172,7 @@ def read_probe_images(
             raise FileFormatError(f"{path}: duplicate probe label {label!r}")
         matrix = _payload_matrix(entry, dim, f"{path}[{label}]")
         state = DensityState.from_matrix(matrix, tols)
-        vector = state.as_rank_one(tols.tol_num).vector
+        vector = state.as_rank_one(tols).vector
         by_label[label] = RankOneProjection(vector=vector, source_matrix=state.matrix)
     missing = [label for label in labels if label not in by_label]
     if missing:

@@ -28,7 +28,6 @@ __all__ = [
     "std_entropy",
     "power_generator",
     "quadratic",
-    "catalog",
     "parse_generator",
     "default_grid",
     "Violation",
@@ -105,8 +104,6 @@ class NormalizedGenerator(GeneratorFunction):
     every engine works with this normalized form.
     """
 
-    base: GeneratorFunction | None = None
-
 
 def normalize(f: GeneratorFunction) -> NormalizedGenerator:
     """Subtract the affine interpolant through (0, f(0)) and (1, f(1)).
@@ -129,7 +126,6 @@ def normalize(f: GeneratorFunction) -> NormalizedGenerator:
         value_at_zero=0.0,
         slope_at_zero=slope_at_zero,
         matrix_entropy_member=f.matrix_entropy_member,
-        base=f,
     )
 
 
@@ -168,19 +164,6 @@ def power_generator(q: float) -> NormalizedGenerator:
 def quadratic() -> NormalizedGenerator:
     """f(x) = x^2 - x; the induced Bregman divergence is tr (A - B)^2."""
     return power_generator(2.0)
-
-
-def catalog(name: str, **params: float) -> NormalizedGenerator:
-    """Built-in generators: ``std_entropy``, ``power`` (q > 1), ``quadratic``."""
-    if name == "std_entropy":
-        return std_entropy()
-    if name == "power":
-        if "q" not in params:
-            raise ParameterError("power generator requires parameter q")
-        return power_generator(params["q"])
-    if name == "quadratic":
-        return quadratic()
-    raise ParameterError(f"unknown generator {name!r}")
 
 
 def parse_generator(spec: str) -> NormalizedGenerator:

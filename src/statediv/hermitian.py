@@ -1,10 +1,10 @@
 """Complex Hermitian matrix toolkit.
 
-Construction and validation of Hermitian matrices, spectral decomposition with
-eigenvalue clustering, support projections, standard operator functions, and
-traces restricted to a support subspace.  Everything operates on plain
-``numpy`` arrays; the wrapper dataclasses carry cached decompositions and are
-treated as immutable.
+Construction and validation of Hermitian matrices, spectral decomposition
+into eigenvalues and eigenvectors, support projections, standard operator
+functions, and traces restricted to a support subspace.  Everything operates
+on plain ``numpy`` arrays; the wrapper dataclasses carry cached
+decompositions and are treated as immutable.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .errors import (
 __all__ = [
     "hermitian_part",
     "validate_hermitian",
-    "SpectralCluster",
     "SpectralDecomposition",
     "decompose",
     "apply_function",
@@ -62,115 +61,50 @@ def validate_hermitian(matrix: np.ndarray, tol_herm: float = DEFAULT_TOLS.tol_he
 
 
 @dataclass(frozen=True)
-class SpectralCluster:
-    """One eigenvalue cluster: value, spectral projection, multiplicity."""
-
-    eigenvalue: float
-    projection: np.ndarray
-    multiplicity: int
-
-
-@dataclass(frozen=True)
 class SpectralDecomposition:
-    """Clustered spectral decomposition M = V diag(w) V* = sum_a a * P_a.
+    """Spectral decomposition M = V diag(w) V*.
 
     ``w`` has one eigenvalue per column of the unitary ``v``, descending, with
-    exact zeros.  Clustering runs only when read: cluster a is the columns
-    ``starts[a]:starts[a + 1]``, cut from ``w`` by ``cluster_tol``, with
-    P_a = V_a V_a* and value a the mean of its eigenvalues.  The projections
-    in ``clusters`` and ``support`` are built only when read too.
+    exact zeros.  The support projection is built only when read.
     """
 
     w: np.ndarray
     v: np.ndarray
-    cluster_tol: float = DEFAULT_TOLS.cluster_tol
 
     @property
     def dim(self) -> int:
         return self.w.shape[0]
-
-    @cached_property
-    def starts(self) -> np.ndarray:
-        return _cluster_starts(self.w, self.cluster_tol)
-
-    @cached_property
-    def eigenvalues(self) -> np.ndarray:
-        """Cluster eigenvalues (member means), strictly decreasing."""
-        return np.add.reduceat(self.w, self.starts) / self.multiplicities
-
-    @cached_property
-    def multiplicities(self) -> np.ndarray:
-        return np.diff(np.append(self.starts, self.dim))
 
     @property
     def rank(self) -> int:
         return int(np.count_nonzero(self.w))
 
     @cached_property
-    def clusters(self) -> tuple[SpectralCluster, ...]:
-        return tuple(
-            SpectralCluster(float(a), _projection(self.v[:, s : s + m]), int(m))
-            for a, s, m in zip(self.eigenvalues, self.starts, self.multiplicities)
-        )
-
-    @cached_property
     def support(self) -> np.ndarray:
-        return _projection(self.v[:, self.w != 0.0])
+        columns = self.v[:, self.w != 0.0]
+        return hermitian_part(columns @ columns.conj().T)
 
     def reconstruct(self) -> np.ndarray:
         """Reassemble V diag(w) V*."""
         return (self.v * self.w) @ self.v.conj().T
 
 
-def _projection(columns: np.ndarray) -> np.ndarray:
-    return hermitian_part(columns @ columns.conj().T)
-
-
-def _cluster_starts(w: np.ndarray, cluster_tol: float) -> np.ndarray:
-    """Cluster boundaries of a descending spectrum whose zeros are exactly 0.
-
-    The zeros form one cluster.  A nonzero cluster starts at its largest
-    member and takes every following eigenvalue of the same sign less than
-    ``cluster_tol`` below it, so its diameter stays below ``cluster_tol``.
-    """
-    sign = np.sign(w)
-    cut = (w[:-1] - w[1:] >= cluster_tol) | (sign[:-1] != sign[1:])
-    starts = np.flatnonzero(np.concatenate(([True], cut)))
-    ends = np.append(starts[1:], len(w))
-    wide = w[starts] - w[ends - 1] >= cluster_tol
-    extra = []
-    for s, e in zip(starts[wide], ends[wide]):
-        below = -w[s:e]
-        k = 0
-        while (k := int(np.searchsorted(below, below[k] + cluster_tol))) < e - s:
-            extra.append(s + k)
-    return np.sort(np.concatenate((starts, np.array(extra, dtype=int))))
-
-
 def decompose(
-    matrix: np.ndarray,
-    cluster_tol: float | None = None,
-    *,
-    tols: Tolerances = DEFAULT_TOLS,
-    psd_floor: bool = False,
+    matrix: np.ndarray, *, tols: Tolerances = DEFAULT_TOLS, psd_floor: bool = False
 ) -> SpectralDecomposition:
-    """Spectral decomposition with eigenvalue clustering.
+    """Spectral decomposition into descending eigenvalues and their eigenvectors.
 
-    Zeros are decided first: eigenvalues below ``eps_supp`` in magnitude are
-    exactly 0 (with ``psd_floor``, for validated states: every one below
-    ``eps_supp``, and one below ``-tol_psd`` is an error).  When clusters are
-    read, nonzero eigenvalues within ``cluster_tol`` of a cluster's largest
-    member join it, so degenerate spectra yield genuine spectral projections.
+    Eigenvalues below ``eps_supp`` in magnitude are exactly 0 (with
+    ``psd_floor``, for validated states: every one below ``eps_supp``, and one
+    below ``-tol_psd`` is an error).
     """
-    if cluster_tol is None:
-        cluster_tol = tols.cluster_tol
     w, v = np.linalg.eigh(validate_hermitian(matrix, tols.tol_herm))
     if psd_floor and w[0] < -tols.tol_psd:
         raise ValidationError(f"state has negative eigenvalue {w[0]:.3e} beyond {tols.tol_psd:.1e}")
     w = w[::-1]
     w = np.where(w < tols.eps_supp if psd_floor else np.abs(w) < tols.eps_supp, 0.0, w)
     v = np.ascontiguousarray(v[:, ::-1])
-    return SpectralDecomposition(w=w, v=v, cluster_tol=cluster_tol)
+    return SpectralDecomposition(w=w, v=v)
 
 
 def apply_function(
@@ -260,7 +194,7 @@ class DensityState:
 
     @property
     def eigenvalues(self) -> np.ndarray:
-        return self.spectral.eigenvalues
+        return self.spectral.w
 
     @property
     def support(self) -> np.ndarray:
@@ -270,23 +204,20 @@ class DensityState:
     def rank(self) -> int:
         return self.spectral.rank
 
-    def as_rank_one(self, tol: float | None = None) -> "RankOneProjection":
+    def as_rank_one(self, tols: Tolerances = DEFAULT_TOLS) -> "RankOneProjection":
         """Extract the rank-one projection if this state is pure.
 
-        Pure means a leading eigenvalue within ``tol`` of 1 whose cluster has
-        multiplicity 1, read from ``w[0]`` and ``w[1]`` without clustering.
+        Pure means a leading eigenvalue within ``tol_num`` of 1 and no other
+        eigenvalue of its sign less than ``cluster_tol`` below it.
         """
-        tol = DEFAULT_TOLS.tol_num if tol is None else tol
-        spec, w = self.spectral, self.spectral.w
-        top = float(w[0])
-        simple = spec.dim == 1 or np.sign(w[0]) != np.sign(w[1]) or w[0] - w[1] >= spec.cluster_tol
-        if abs(top - 1.0) > tol or not simple:
-            multiplicity = int(spec.multiplicities[0])
+        w, top = self.spectral.w, float(self.spectral.w[0])
+        multiplicity = int(np.count_nonzero((top - w < tols.cluster_tol) & (np.sign(w) == np.sign(top))))
+        if abs(top - 1.0) > tols.tol_num or multiplicity != 1:
             raise ValidationError(
                 f"state is not rank-one: leading eigenvalue {top!r} "
                 f"with multiplicity {multiplicity}"
             )
-        vector = spec.v[:, 0]
+        vector = self.spectral.v[:, 0]
         return RankOneProjection.from_vector(vector * vector[np.argmax(np.abs(vector))].conj())
 
 

@@ -39,7 +39,7 @@ def _midpoint_matrix(a: DensityState, b: DensityState) -> np.ndarray:
     return (a.spectral.reconstruct() + b.spectral.reconstruct()) / 2.0
 
 
-def midpoint_state(a: DensityState, b: DensityState, *, tols: Tolerances = DEFAULT_TOLS) -> DensityState:
+def midpoint_state(a: DensityState, b: DensityState) -> DensityState:
     """The state (A + B)/2, built as in :func:`jensen`.
 
     The midpoint is an intermediate: its eigenvalues are clipped at 0, not
@@ -49,7 +49,7 @@ def midpoint_state(a: DensityState, b: DensityState, *, tols: Tolerances = DEFAU
     matrix = hermitian_part(_midpoint_matrix(a, b))
     w, v = np.linalg.eigh(matrix)
     w = np.maximum(w[::-1], 0.0)
-    spectral = SpectralDecomposition(w=w, v=np.ascontiguousarray(v[:, ::-1]), cluster_tol=tols.cluster_tol)
+    spectral = SpectralDecomposition(w=w, v=np.ascontiguousarray(v[:, ::-1]))
     return DensityState(matrix=matrix, spectral=spectral)
 
 
@@ -143,7 +143,7 @@ def jensen_via_bregman(
     """
     f = normalize(f)
     _require_finite_at_zero(f)
-    mid = midpoint_state(a, b, tols=tols)
+    mid = midpoint_state(a, b)
     left = bregman(f, a, mid, tols=tols)
     right = bregman(f, b, mid, tols=tols)
     return 0.5 * (left + right)

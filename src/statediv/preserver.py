@@ -63,10 +63,12 @@ __all__ = [
     "verify_preserver",
 ]
 
-BISECT_TOL = 1e-10
-WIGNER_TOL = 1e-6
-RECONSTRUCT_TOL = 1e-8
-PURE_MARGIN = 1e-3
+BISECT_TOL = 1e-10  # bracket width at which the Jensen and rank-two bisections stop
+BRACKET_EPS = 1e-12  # rank-two spectra are recovered on [BRACKET_EPS, 1/2 - BRACKET_EPS]
+WIGNER_TOL = 1e-6  # admissible change of a probe-pair transition probability
+RECONSTRUCT_TOL = 1e-8  # admissible max-entry miss of a reconstructed probe image
+DIVERGENCE_TOL = 1e-8  # admissible divergence deviation and residual in verify_preserver
+PURE_MARGIN = 1e-3  # admissible gap between M(X) and the pure reference value
 
 
 # ---------------------------------------------------------------------------
@@ -107,12 +109,10 @@ class SymmetryOp:
         a = np.conj(a) if self.antiunitary else a
         return self.matrix @ a @ self.matrix.conj().T
 
-    def apply_state(self, state: DensityState, tols: Tolerances = DEFAULT_TOLS) -> DensityState:
+    def apply_state(self, state: DensityState) -> DensityState:
         """The image state, carrying the input's eigenvalues with eigenvectors
         U V (U conj(V) when antiunitary); no eigendecomposition runs."""
-        spectral = SpectralDecomposition(
-            w=state.spectral.w, v=self.apply_vector(state.spectral.v), cluster_tol=tols.cluster_tol
-        )
+        spectral = SpectralDecomposition(w=state.spectral.w, v=self.apply_vector(state.spectral.v))
         return DensityState(matrix=hermitian_part(self.apply_matrix(state.matrix)), spectral=spectral)
 
     def apply_vector(self, v: np.ndarray) -> np.ndarray:
@@ -148,27 +148,6 @@ class PreserverOracle:
             raise OracleError(f"oracle {self.label!r} changed the dimension: {image.dim} != {self.dim}")
         return image
 
-    @classmethod
-    def from_pairs(
-        cls,
-        pairs: Sequence[tuple[DensityState, DensityState]],
-        *,
-        match_tol: float = 1e-10,
-        label: str = "table-oracle",
-    ) -> "PreserverOracle":
-        """In-memory table oracle; inputs are matched by max-entry distance."""
-        if not pairs:
-            raise ParameterError("table oracle needs at least one pair")
-        dim = pairs[0][0].dim
-
-        def lookup(state: DensityState) -> DensityState:
-            for source, image in pairs:
-                if float(np.max(np.abs(source.matrix - state.matrix))) < match_tol:
-                    return image
-            raise OracleError(f"oracle {label!r} has no entry for the queried state")
-
-        return cls(dim=dim, mapping=lookup, label=label)
-
 
 def conjugation_oracle(op: SymmetryOp, tols: Tolerances = DEFAULT_TOLS) -> PreserverOracle:
     """A -> U A U* (or U conj(A) U*): the maps the structure theorems produce.
@@ -178,19 +157,17 @@ def conjugation_oracle(op: SymmetryOp, tols: Tolerances = DEFAULT_TOLS) -> Prese
     """
     SymmetryOp.from_matrix(op.matrix, op.antiunitary, tols)
     kind = "antiunitary" if op.antiunitary else "unitary"
-    return PreserverOracle(
-        dim=op.dim, mapping=lambda s: op.apply_state(s, tols), label=f"{kind}-conjugation"
-    )
+    return PreserverOracle(dim=op.dim, mapping=op.apply_state, label=f"{kind}-conjugation")
 
 
-def transpose_oracle(dim: int, tols: Tolerances = DEFAULT_TOLS) -> PreserverOracle:
+def transpose_oracle(dim: int) -> PreserverOracle:
     """A -> A^T; equals entrywise conjugation, an antiunitary conjugation with U = I.
 
     The image carries the input's eigenvalues with eigenvectors conj(V).
     """
 
     def mapping(s: DensityState) -> DensityState:
-        spectral = SpectralDecomposition(w=s.spectral.w, v=s.spectral.v.conj(), cluster_tol=tols.cluster_tol)
+        spectral = SpectralDecomposition(w=s.spectral.w, v=s.spectral.v.conj())
         return DensityState(matrix=hermitian_part(s.matrix.T), spectral=spectral)
 
     return PreserverOracle(dim=dim, mapping=mapping, label="transpose")
@@ -262,7 +239,6 @@ def transition_from_jensen(
     f: GeneratorFunction,
     j: "float | np.ndarray",
     *,
-    bisect_tol: float = BISECT_TOL,
     tols: Tolerances = DEFAULT_TOLS,
 ) -> "float | np.ndarray":
     """Invert the rank-one Jensen closed form by monotone bisection in p.
@@ -278,7 +254,7 @@ def transition_from_jensen(
     j = _checked("Jensen value", j, 0.0, m_f, tols)
     if j.ndim == 0:  # a plain float loop: array steps would cost a float call many times over
         j, lo, hi = min(max(float(j), 0.0), m_f), 0.0, 1.0  # J decreases from M_f at p=0 to 0 at p=1
-        while hi - lo > bisect_tol:
+        while hi - lo > BISECT_TOL:
             mid = 0.5 * (lo + hi)
             if _rank_one_value(f, mid) > j:
                 lo = mid
@@ -288,7 +264,7 @@ def transition_from_jensen(
     j = np.clip(j, 0.0, m_f)
     lo, hi = np.zeros_like(j), np.ones_like(j)
     width = 1.0  # hi - lo, the same for every entry
-    while width > bisect_tol:
+    while width > BISECT_TOL:
         mid = 0.5 * (lo + hi)
         above = jensen_rank_one(f, mid, tols=tols) > j
         lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
@@ -320,15 +296,13 @@ def recover_rank_two_spectrum(
     f: GeneratorFunction,
     delta: float,
     *,
-    bisect_tol: float = BISECT_TOL,
-    bracket_eps: float = 1e-12,
     tols: Tolerances = DEFAULT_TOLS,
 ) -> float:
     """Recover lam in (0, 1/2) from delta = f'(1 - lam) - f'(lam).
 
     The gap is strictly decreasing in lam (to 0 at lam = 1/2), so the value
     determines the rank-two spectrum {lam, 1 - lam} uniquely; solved by
-    bisection on [bracket_eps, 1/2 - bracket_eps].
+    bisection on [BRACKET_EPS, 1/2 - BRACKET_EPS].
     """
     f = normalize(f)
     if not (delta > 0.0 and math.isfinite(delta)):
@@ -337,15 +311,15 @@ def recover_rank_two_spectrum(
     def gap(lam: float) -> float:
         return f.slope(1.0 - lam) - f.slope(lam)
 
-    lo, hi = bracket_eps, 0.5 - bracket_eps
+    lo, hi = BRACKET_EPS, 0.5 - BRACKET_EPS
     if delta > gap(lo):
         if f.finite_zero_slope:
             span = f.slope(1.0) - f.slope_at_zero
             raise RangeError(f"gap value {delta!r} is at or beyond the supremum {span!r}")
-        raise RangeError(f"gap value {delta!r} needs lam < {bracket_eps:g}; outside bracketing range")
+        raise RangeError(f"gap value {delta!r} needs lam < {BRACKET_EPS:g}; outside bracketing range")
     if delta < gap(hi):
         return hi
-    while hi - lo > bisect_tol:
+    while hi - lo > BISECT_TOL:
         mid = 0.5 * (lo + hi)
         if gap(mid) >= delta:
             lo = mid
@@ -406,7 +380,6 @@ def is_pure_by_max(
     x: DensityState,
     reference_pure_value: float,
     *,
-    pure_margin: float = PURE_MARGIN,
     tols: Tolerances = DEFAULT_TOLS,
 ) -> bool:
     """Purity test: X is pure iff M(X) attains the global maximum of M.
@@ -415,7 +388,7 @@ def is_pure_by_max(
     rank-one projection) with the same generator and dimension.
     """
     value = max_divergence_functional(f, x, tols=tols)
-    return abs(value - reference_pure_value) < pure_margin
+    return abs(value - reference_pure_value) < PURE_MARGIN
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +430,6 @@ def wigner_reconstruct(
     images: Sequence[RankOneProjection],
     *,
     wigner_tol: float = WIGNER_TOL,
-    reconstruct_tol: float = RECONSTRUCT_TOL,
     tols: Tolerances = DEFAULT_TOLS,
 ) -> SymmetryOp:
     """Reconstruct the implementing unitary/antiunitary from probe images.
@@ -465,11 +437,11 @@ def wigner_reconstruct(
     ``images`` lists the images of ``wigner_probes(dim)`` in canonical order.
     The input family must preserve all pairwise transition probabilities
     within ``wigner_tol``; the returned operator reproduces every probe image
-    within ``reconstruct_tol`` (both violations raise ``NotAPreserverError``).
+    within ``RECONSTRUCT_TOL`` (both violations raise ``NotAPreserverError``).
     The global phase is fixed so the first nonzero component of the image of
     e_1 is real and nonnegative.
     """
-    return _wigner_fit(images, wigner_tol=wigner_tol, reconstruct_tol=reconstruct_tol, tols=tols)[0]
+    return _wigner_fit(images, wigner_tol=wigner_tol, tols=tols)[0]
 
 
 def _wigner_fit(
@@ -477,7 +449,6 @@ def _wigner_fit(
     probes: Sequence[RankOneProjection] | None = None,
     *,
     wigner_tol: float = WIGNER_TOL,
-    reconstruct_tol: float = RECONSTRUCT_TOL,
     tols: Tolerances = DEFAULT_TOLS,
 ) -> tuple[SymmetryOp, float]:
     """``wigner_reconstruct`` together with the ``max_probe_residual`` it checked.
@@ -547,9 +518,9 @@ def _wigner_fit(
 
     op = SymmetryOp(matrix=columns, antiunitary=antiunitary)
     residual = _probe_residual(op, probes, images)
-    if residual > reconstruct_tol:
+    if residual > RECONSTRUCT_TOL:
         raise NotAPreserverError(
-            f"reconstructed operator misses the probe images by {residual:.3e} > {reconstruct_tol:.1e}"
+            f"reconstructed operator misses the probe images by {residual:.3e} > {RECONSTRUCT_TOL:.1e}"
         )
     return op, residual
 
@@ -794,11 +765,6 @@ def verify_preserver(
     sample_size: int = 20,
     seed: int = 0,
     *,
-    divergence_tol: float = 1e-8,
-    wigner_tol: float = WIGNER_TOL,
-    reconstruct_tol: float = RECONSTRUCT_TOL,
-    rank_one_tol: float = 1e-8,
-    probe_via_divergence: bool = True,
     tols: Tolerances = DEFAULT_TOLS,
 ) -> PreserverVerification:
     """Empirically instantiate the preserver theorems for a candidate map.
@@ -812,6 +778,8 @@ def verify_preserver(
     f = normalize(f)
     if kind not in ("bregman", "jensen"):
         raise ParameterError(f"kind must be 'bregman' or 'jensen', got {kind!r}")
+    if sample_size < 0:
+        raise ParameterError(f"sample size must be >= 0, got {sample_size}")
     rng = rng_for(seed)
     dim = oracle.dim
 
@@ -837,7 +805,7 @@ def verify_preserver(
     for probe in probes:
         image_state = oracle(probe.to_state(tols))
         try:
-            probe_images.append(image_state.as_rank_one(rank_one_tol))
+            probe_images.append(image_state.as_rank_one(tols))
         except ValidationError as exc:
             images_rank_one = False
             reconstruction_error = f"probe image is not rank-one: {exc}"
@@ -849,13 +817,10 @@ def verify_preserver(
     state_residual = math.inf
 
     if images_rank_one:
-        if probe_via_divergence:
-            recovered = probe_transitions_via_divergence(f, probe_images, kind, tols=tols)
-            transition_recovery_dev = recovered.max_deviation(TransitionTable.direct(probes))
+        recovered = probe_transitions_via_divergence(f, probe_images, kind, tols=tols)
+        transition_recovery_dev = recovered.max_deviation(TransitionTable.direct(probes))
         try:
-            symmetry, probe_residual = _wigner_fit(
-                probe_images, probes, wigner_tol=wigner_tol, reconstruct_tol=reconstruct_tol, tols=tols
-            )
+            symmetry, probe_residual = _wigner_fit(probe_images, probes, tols=tols)
         except (NotAPreserverError, DegenerateProbeError) as exc:
             reconstruction_error = str(exc)
         if symmetry is not None:
@@ -871,8 +836,8 @@ def verify_preserver(
         dim=dim,
         seed=seed,
         sample_size=sample_size,
-        divergence_tol=divergence_tol,
-        wigner_tol=wigner_tol,
+        divergence_tol=DIVERGENCE_TOL,
+        wigner_tol=WIGNER_TOL,
         max_divergence_deviation=max_div_dev,
         probe_images_rank_one=images_rank_one,
         max_transition_recovery_deviation=transition_recovery_dev,

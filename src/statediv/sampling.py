@@ -105,6 +105,8 @@ def _random_states(
     rank = dim if rank is None else rank
     if not 1 <= rank <= dim:
         raise ParameterError(f"rank must lie in [1, {dim}], got {rank}")
+    if n == 0:
+        return []
     spectrum = np.zeros((n, dim))
     gaussian = np.empty((n, 2, dim, dim))
     for k in range(n):
@@ -118,6 +120,6 @@ def _random_states(
     w = spectrum[np.arange(n)[:, None], order]
     w[w < tols.eps_supp] = 0.0
     return [
-        DensityState(matrix=m, spectral=SpectralDecomposition(w=wk, v=b[:, o], cluster_tol=tols.cluster_tol))
+        DensityState(matrix=m, spectral=SpectralDecomposition(w=wk, v=b[:, o]))
         for m, wk, b, o in zip(matrices, w, basis, order)
     ]

@@ -246,6 +246,13 @@ class TestReconstructAndVerify:
         assert payload["passed"] is False
         assert payload["max_divergence_deviation"] > 1e-3
 
+    @pytest.mark.parametrize("samples, code", [("0", 0), ("-1", 6)])
+    def test_verify_sample_count(self, samples, code, capsys):
+        argv = ["verify", "--kind", "bregman", "--f", "quadratic", "--oracle", "transpose", "--dim", "3"]
+        assert main([*argv, "--samples", samples]) == code
+        if code == 6:
+            assert "sample size must be >= 0" in capsys.readouterr().err
+
 
 class TestSuite:
     def test_unknown_suite_is_usage_error(self):

@@ -7,7 +7,6 @@ from statediv import (
     DomainError,
     GeneratorFunction,
     ParameterError,
-    catalog,
     normalize,
     parse_generator,
     power_generator,
@@ -55,15 +54,6 @@ class TestCatalog:
     def test_power_requires_q_above_one(self, q):
         with pytest.raises(ParameterError):
             power_generator(q)
-
-    def test_catalog_dispatch(self):
-        assert catalog("std_entropy").name == "xlogx"
-        assert catalog("power", q=3.0).name == "power(q=3)"
-        assert catalog("quadratic").name == "quadratic"
-        with pytest.raises(ParameterError):
-            catalog("nope")
-        with pytest.raises(ParameterError):
-            catalog("power")
 
     def test_negative_argument_rejected(self):
         with pytest.raises(DomainError):

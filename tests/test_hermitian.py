@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from statediv import (
-    DEFAULT_TOLS,
     DensityState,
     DimensionMismatchError,
     DomainError,
@@ -24,23 +23,17 @@ from statediv import (
 from conftest import random_hermitian
 
 
+def _line(vector: np.ndarray) -> np.ndarray:
+    """|v><v|."""
+    return np.outer(vector, vector.conj())
+
+
 class TestDecompose:
     def test_diagonal_two_level(self):
         dec = decompose(np.diag([1.0, 0.0]))
-        assert len(dec.clusters) == 2
-        assert dec.clusters[0].eigenvalue == 1.0
-        assert dec.clusters[1].eigenvalue == 0.0
-        np.testing.assert_allclose(dec.clusters[0].projection, np.diag([1.0, 0.0]), atol=1e-14)
-        np.testing.assert_allclose(dec.clusters[1].projection, np.diag([0.0, 1.0]), atol=1e-14)
-        assert [c.multiplicity for c in dec.clusters] == [1, 1]
-
-    def test_identity_is_one_cluster(self):
-        dec = decompose(np.eye(3))
-        assert len(dec.clusters) == 1
-        cluster = dec.clusters[0]
-        assert cluster.eigenvalue == pytest.approx(1.0)
-        assert cluster.multiplicity == 3
-        np.testing.assert_allclose(cluster.projection, np.eye(3), atol=1e-12)
+        np.testing.assert_array_equal(dec.w, [1.0, 0.0])
+        np.testing.assert_allclose(_line(dec.v[:, 0]), np.diag([1.0, 0.0]), atol=1e-14)
+        np.testing.assert_allclose(_line(dec.v[:, 1]), np.diag([0.0, 1.0]), atol=1e-14)
 
     def test_symmetric_half_matrix(self):
         # Hand eigendecomposition: eigenvalues 1 and 0 with eigenvectors
@@ -49,10 +42,10 @@ class TestDecompose:
         dec = decompose(matrix)
         p_plus = np.full((2, 2), 0.5)
         p_minus = np.array([[0.5, -0.5], [-0.5, 0.5]])
-        assert dec.clusters[0].eigenvalue == pytest.approx(1.0)
-        assert dec.clusters[1].eigenvalue == 0.0
-        np.testing.assert_allclose(dec.clusters[0].projection, p_plus, atol=1e-12)
-        np.testing.assert_allclose(dec.clusters[1].projection, p_minus, atol=1e-12)
+        assert dec.w[0] == pytest.approx(1.0)
+        assert dec.w[1] == 0.0
+        np.testing.assert_allclose(_line(dec.v[:, 0]), p_plus, atol=1e-12)
+        np.testing.assert_allclose(_line(dec.v[:, 1]), p_minus, atol=1e-12)
 
     @pytest.mark.parametrize("dim", [2, 3, 5, 8])
     def test_roundtrip_random(self, dim):
@@ -67,25 +60,15 @@ class TestDecompose:
         rng = rng_for(200 + dim)
         matrix = random_hermitian(dim, rng)
         dec = decompose(matrix)
-        total = np.zeros((dim, dim), dtype=complex)
-        for a, ca in enumerate(dec.clusters):
-            p = ca.projection
+        lines = [_line(dec.v[:, a]) for a in range(dim)]
+        for a, p in enumerate(lines):
             np.testing.assert_allclose(p @ p, p, atol=1e-9)
-            total += p
-            for b, cb in enumerate(dec.clusters):
+            for b, q in enumerate(lines):
                 if a != b:
-                    np.testing.assert_allclose(p @ cb.projection, 0.0, atol=1e-9)
-        np.testing.assert_allclose(total, np.eye(dim), atol=1e-9)
-        values = dec.eigenvalues
-        assert np.all(np.diff(values) < 0)
-        assert sum(c.multiplicity for c in dec.clusters) == dim
-
-    def test_degenerate_eigenvalues_merge(self):
-        rng = rng_for(3)
-        basis = haar_unitary(4, rng)
-        matrix = (basis * np.array([0.7, 0.7, 0.3, 0.3])) @ basis.conj().T
-        dec = decompose((matrix + matrix.conj().T) / 2)
-        assert [c.multiplicity for c in dec.clusters] == [2, 2]
+                    np.testing.assert_allclose(p @ q, 0.0, atol=1e-9)
+        np.testing.assert_allclose(sum(lines), np.eye(dim), atol=1e-9)
+        assert dec.w.shape == (dim,)
+        assert np.all(np.diff(dec.w) <= 0)
 
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValidationError):
@@ -97,7 +80,7 @@ class TestDecompose:
 
 
 class TestZerosBeforeClustering:
-    """eps_supp alone decides the zeros; clusters never outgrow cluster_tol."""
+    """eps_supp alone decides the zeros."""
 
     def test_near_zero_eigenvalue_keeps_its_kernel(self):
         y = density_state(np.diag([1.0 - 5e-9, 5e-9, 0.0]))
@@ -105,16 +88,6 @@ class TestZerosBeforeClustering:
         kernel_line = density_state(np.diag([0.0, 0.0, 1.0]))
         assert bregman(std_entropy(), kernel_line, y) == math.inf
         assert bregman_trace_form(std_entropy(), kernel_line, y) == math.inf
-
-    def test_cluster_diameter_is_bounded(self):
-        tol = DEFAULT_TOLS.cluster_tol
-        values = 1.0 / 40 + 0.9 * tol * (np.arange(40) - 19.5)
-        dec = decompose(np.diag(values))
-        spectrum = np.sort(values)[::-1]
-        ends = np.append(dec.starts[1:], len(values))
-        assert len(dec.clusters) > 1
-        for start, end in zip(dec.starts, ends):
-            assert spectrum[start] - spectrum[end - 1] < tol
 
 
 class TestApplyFunction:

@@ -1,12 +1,12 @@
 """States whose spectrum is known carry it: no eigendecomposition runs.
 
-``random_state`` attaches its simplex weights and Haar columns, conjugation
+``random_state`` attaches its simplex weights and Haar columns, and conjugation
 and transpose images attach the input's eigenvalues with the moved
-eigenvectors, and clustering runs only when clusters are read.  These tests
-check that the attached decompositions describe the stored matrices, that a
-stacked draw equals consecutive ``random_state`` calls bit for bit, that the
-preserver engine calls ``eigh`` only for maps whose images have an unknown
-spectrum, and the exact rules that used to come from an ``eigh``.
+eigenvectors.  These tests check that the attached decompositions describe the
+stored matrices, that a stacked draw equals consecutive ``random_state`` calls
+bit for bit, that the preserver engine calls ``eigh`` only for maps whose
+images have an unknown spectrum, and the exact rules that used to come from an
+``eigh``.
 """
 
 import subprocess
@@ -127,6 +127,11 @@ class TestStackedSampler:
                 assert state.spectral.v.tobytes() == v.tobytes()
         assert len({rng.integers(2**62) for rng in rngs}) == 1  # the same draws were consumed
 
+    def test_no_states_draw_nothing(self):
+        rng, untouched = rng_for(1300), rng_for(1300)
+        assert sampling._random_states(0, 4, rng=rng) == []
+        assert rng.integers(2**62) == untouched.integers(2**62)
+
 
 def test_conjugation_oracle_checks_unitarity_once():
     with pytest.raises(ValidationError, match="not unitary"):
@@ -162,24 +167,44 @@ class TestEighCount:
         assert calls > 0
 
 
-class TestLazyClustering:
-    def test_clusters_are_built_on_first_read(self):
-        spec = SpectralDecomposition(w=np.array([0.5, 0.5 - 0.5 * CT, 0.0]), v=np.eye(3, dtype=complex))
-        assert "starts" not in vars(spec)
-        np.testing.assert_array_equal(spec.multiplicities, [2, 1])
-        assert "starts" in vars(spec)
+def _cluster_starts(w: np.ndarray, cluster_tol: float) -> np.ndarray:
+    """The eigenvalue clustering the package once kept, copied as the reference.
 
-    @pytest.mark.parametrize("second", [0.6, 0.6 - 0.5 * CT, 0.6 - 0.99 * CT, 0.6 - 1.01 * CT, 0.1, 0.0])
-    def test_as_rank_one_matches_top_cluster_multiplicity(self, second):
-        # tol = 1 admits every leading eigenvalue, so only the multiplicity rule decides.
+    The zeros form one cluster.  A nonzero cluster starts at its largest
+    member and takes every following eigenvalue of the same sign less than
+    ``cluster_tol`` below it.
+    """
+    sign = np.sign(w)
+    cut = (w[:-1] - w[1:] >= cluster_tol) | (sign[:-1] != sign[1:])
+    starts = np.flatnonzero(np.concatenate(([True], cut)))
+    ends = np.append(starts[1:], len(w))
+    wide = w[starts] - w[ends - 1] >= cluster_tol
+    extra = []
+    for s, e in zip(starts[wide], ends[wide]):
+        below = -w[s:e]
+        k = 0
+        while (k := int(np.searchsorted(below, below[k] + cluster_tol))) < e - s:
+            extra.append(s + k)
+    return np.sort(np.concatenate((starts, np.array(extra, dtype=int))))
+
+
+class TestRankOneRule:
+    @pytest.mark.parametrize(
+        "second, multiplicity",
+        [(0.6, 2), (0.6 - 0.5 * CT, 2), (0.6 - 0.99 * CT, 2), (0.6 - 1.01 * CT, 1), (0.1, 1), (0.0, 1)],
+    )
+    def test_as_rank_one_matches_top_cluster_multiplicity(self, second, multiplicity):
+        # tol_num = 1 admits every leading eigenvalue, so only the multiplicity rule decides.
+        tols = DEFAULT_TOLS.replace(tol_num=1.0)
         w = np.array([0.6, second, 0.0])
+        assert np.diff(np.append(_cluster_starts(w, CT), len(w)))[0] == multiplicity
         spectral = SpectralDecomposition(w=w, v=np.eye(3, dtype=complex))
         state = DensityState(matrix=np.diag(w).astype(complex), spectral=spectral)
-        if spectral.multiplicities[0] == 1:
-            assert state.as_rank_one(1.0).dim == 3
+        if multiplicity == 1:
+            assert state.as_rank_one(tols).dim == 3
         else:
-            with pytest.raises(ValidationError, match="multiplicity 2"):
-                state.as_rank_one(1.0)
+            with pytest.raises(ValidationError, match=f"multiplicity {multiplicity}"):
+                state.as_rank_one(tols)
 
     def test_as_rank_one_in_dimension_one(self):
         assert DensityState.from_matrix(np.eye(1)).as_rank_one().dim == 1
@@ -191,7 +216,7 @@ class TestResidualReuse:
         op = SymmetryOp(matrix=haar_unitary(4, rng), antiunitary=True)
         oracle = conjugation_oracle(op)
         outcome = verify_preserver(parse_generator("quadratic"), oracle, "bregman", sample_size=4)
-        images = [oracle(p.to_state()).as_rank_one(1e-8) for p in wigner_probes(4)]
+        images = [oracle(p.to_state()).as_rank_one() for p in wigner_probes(4)]
         assert outcome.max_probe_residual == max_probe_residual(outcome.symmetry, images)
 
 

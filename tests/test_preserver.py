@@ -576,6 +576,13 @@ class TestVerifyPreserver:
         skipped = dataclasses.replace(outcome, max_transition_recovery_deviation=None)
         assert skipped.passed
 
+    def test_zero_samples_score_only_the_pure_pairs(self):
+        outcome = verify_preserver(QUAD, transpose_oracle(3), "bregman", sample_size=0, seed=9)
+        assert outcome.passed
+        assert outcome.sample_size == 0
+        with pytest.raises(ParameterError, match="sample size"):
+            verify_preserver(QUAD, transpose_oracle(3), "bregman", sample_size=-1)
+
     def test_bad_kind_rejected(self):
         rng = rng_for(223)
         op = SymmetryOp(matrix=haar_unitary(2, rng), antiunitary=False)
@@ -665,15 +672,6 @@ class TestOracles:
         bad = PreserverOracle(dim=2, mapping=lambda s: s.matrix, label="bad")
         with pytest.raises(OracleError):
             bad(density_state(np.eye(2) / 2))
-
-    def test_table_oracle_lookup(self):
-        rng = rng_for(231)
-        a, b = random_state(2, rng=rng), random_state(2, rng=rng)
-        oracle = PreserverOracle.from_pairs([(a, b)])
-        out = oracle(a)
-        np.testing.assert_allclose(out.matrix, b.matrix)
-        with pytest.raises(OracleError):
-            oracle(density_state(np.eye(2) / 2))
 
     def test_symmetry_op_validation(self):
         with pytest.raises(ValidationError):

@@ -38,7 +38,7 @@ from statediv import (
     transition_from_jensen,
 )
 from statediv.bregman import _bregman_pairs, _clamp_nonneg
-from statediv.generators import catalog
+from statediv.generators import power_generator, quadratic, std_entropy
 from statediv.jensen import _jensen_pairs
 from statediv.preserver import BISECT_TOL
 
@@ -135,7 +135,7 @@ def test_jensen_symmetric_and_bounded(pair):
 def test_jensen_exactly_zero_on_equal_arguments(pair, rank, q):
     x, _, rng = pair
     drawn = random_state(x.dim, min(rank, x.dim), rng=rng)
-    for f in (catalog("std_entropy"), catalog("power", q=q), catalog("quadratic")):
+    for f in (std_entropy(), power_generator(q), quadratic()):
         assert jensen(f, x, x) == 0.0
         assert jensen(f, drawn, drawn) == 0.0
 
@@ -157,9 +157,7 @@ def test_infinite_iff_support_not_contained(pair):
         assert math.isinf(bregman_trace_form(f, x, y)) == expect_inf
 
 
-JENSEN_GENERATORS = [catalog("quadratic"), catalog("std_entropy")] + [
-    catalog("power", q=q) for q in (1.25, 1.5, 3.0)
-]
+JENSEN_GENERATORS = [quadratic(), std_entropy()] + [power_generator(q) for q in (1.25, 1.5, 3.0)]
 
 
 def _float_bisection(f, j: float) -> float:
