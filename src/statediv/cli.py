@@ -194,7 +194,7 @@ def _cmd_gen(args: argparse.Namespace, tols: Tolerances) -> int:
         op = SymmetryOp(matrix=haar_unitary(args.dim, rng), antiunitary=args.kind == "antiunitary")
         files.write_symmetry(args.output, op)
     elif args.kind == "pure":
-        files.write_state(args.output, random_pure(args.dim, rng).to_state(tols))
+        files.write_state(args.output, random_pure(args.dim, rng).to_state())
     else:
         state = random_state(args.dim, args.rank, rng=rng, tols=tols)
         files.write_state(args.output, state)
@@ -238,7 +238,7 @@ def _cmd_probes(args: argparse.Namespace, tols: Tolerances) -> int:
     oracle = _parse_oracle(args.oracle, args.dim, tols)
     images = []
     for probe in wigner_probes(args.dim):
-        image_state = oracle(probe.to_state(tols))
+        image_state = oracle(probe.to_state())
         images.append(image_state.as_rank_one(tols))
     files.write_probe_images(args.output, images)
     return 0

@@ -41,6 +41,16 @@ def hermitian_part(matrix: np.ndarray) -> np.ndarray:
     return (matrix + matrix.conj().swapaxes(-1, -2)) / 2
 
 
+def _reject_non_finite(matrix: np.ndarray) -> None:
+    """``ValidationError`` naming NaN or inf entries, run before gates that read ``deviation > tol``."""
+    if np.isfinite(matrix).all():
+        return
+    bad = np.argwhere(~np.isfinite(matrix))
+    named = ", ".join(f"[{i}, {j}] = {matrix[i, j]}" for i, j in bad[:3])
+    more = f" and {len(bad) - 3} more" if len(bad) > 3 else ""
+    raise ValidationError(f"matrix has non-finite entries: {named}{more}")
+
+
 def validate_hermitian(matrix: np.ndarray, tol_herm: float = DEFAULT_TOLS.tol_herm) -> np.ndarray:
     """Check Hermiticity within ``tol_herm`` and return the symmetrized matrix.
 
@@ -52,6 +62,7 @@ def validate_hermitian(matrix: np.ndarray, tol_herm: float = DEFAULT_TOLS.tol_he
         raise ValidationError(f"expected a square matrix, got shape {matrix.shape}")
     if matrix.shape[0] < 1:
         raise ValidationError("matrix dimension must be at least 1")
+    _reject_non_finite(matrix)
     deviation = float(np.max(np.abs(matrix - matrix.conj().T)))
     if deviation > tol_herm:
         raise ValidationError(
@@ -256,7 +267,7 @@ class RankOneProjection:
             return self.source_matrix
         return np.outer(self.vector, self.vector.conj())
 
-    def to_state(self, tols: Tolerances = DEFAULT_TOLS) -> DensityState:
+    def to_state(self) -> DensityState:
         """The state |v><v|, with its decomposition attached (no eigh runs)."""
         return DensityState.from_orthonormal([1.0], [self.vector])
 

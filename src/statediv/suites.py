@@ -239,7 +239,7 @@ def _suite_preserver(
         devs_spec = []
         for lam in lam_grid:
             delta = gen.slope(1.0 - lam) - gen.slope(lam)
-            devs_spec.append(abs(recover_rank_two_spectrum(gen, delta, tols=tols) - lam))
+            devs_spec.append(abs(recover_rank_two_spectrum(gen, delta) - lam))
         report.checks.append(_within(f"transition-from-jensen[{label}]", found["j"], 1e-6))
         if found["b"]:
             report.checks.append(_within(f"transition-from-bregman[{label}]", found["b"], 1e-8))

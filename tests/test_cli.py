@@ -61,6 +61,16 @@ class TestDiv:
         )
         assert cli("div", "bregman", "--f", "quadratic", e1, invalid).returncode == 4
 
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+    def test_non_finite_entry_exit_code(self, tmp_path, basis_states, bad, capsys):
+        e1, _ = basis_states
+        invalid = tmp_path / "non_finite.json"
+        invalid.write_text(f'{{"dim": 2, "re": [[{bad}, 0], [0, 0.5]], "im": [[0, 0], [0, 0]]}}')
+        assert main(["div", "bregman", "--f", "quadratic", str(e1), str(invalid)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "non-finite entries: [0, 0]" in captured.err
+
     def test_dimension_mismatch_exit_code(self, tmp_path, basis_states):
         e1, _ = basis_states
         other = tmp_path / "three.json"
@@ -245,6 +255,19 @@ class TestReconstructAndVerify:
         payload = json.loads(result.stdout)
         assert payload["passed"] is False
         assert payload["max_divergence_deviation"] > 1e-3
+
+    def test_verify_names_the_failed_stage(self, capsys):
+        argv = ["verify", "--kind", "bregman", "--f", "quadratic", "--oracle", "depolarize:0.5", "--dim", "3"]
+        assert main(argv) == 1
+        assert '"failed_stage": "divergence-deviation"' in capsys.readouterr().out
+
+    def test_verify_rejects_non_finite_operator(self, tmp_path, capsys):
+        operator = tmp_path / "nan_op.json"
+        re = [[1.0, 0.0, 0.0], [0.0, float("nan"), 0.0], [0.0, 0.0, 1.0]]
+        operator.write_text(json.dumps({"dim": 3, "antiunitary": False, "re": re, "im": [[0.0] * 3] * 3}))
+        argv = ["verify", "--kind", "bregman", "--f", "quadratic", "--oracle", f"conjugate:{operator}"]
+        assert main([*argv, "--dim", "3"]) == 4
+        assert "non-finite entries: [1, 1]" in capsys.readouterr().err
 
     @pytest.mark.parametrize("samples, code", [("0", 0), ("-1", 6)])
     def test_verify_sample_count(self, samples, code, capsys):

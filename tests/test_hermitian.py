@@ -205,6 +205,11 @@ class TestDensityState:
         with pytest.raises(ValidationError):
             density_state(np.diag([1.1, -0.1]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_entry(self, bad):
+        with pytest.raises(ValidationError, match=r"non-finite entries: \[0, 0\]"):
+            DensityState.from_matrix(np.array([[bad, 0.0], [0.0, 0.5]]))
+
     def test_support_of_rank_deficient_state(self):
         state = density_state(np.diag([0.5, 0.5, 0.0]))
         np.testing.assert_allclose(state.support, np.diag([1.0, 1.0, 0.0]), atol=1e-12)

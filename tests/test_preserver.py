@@ -9,6 +9,7 @@ import pytest
 from statediv import (
     DEFAULT_TOLS,
     DegenerateProbeError,
+    DensityState,
     DimensionMismatchError,
     NotAPreserverError,
     OracleError,
@@ -16,6 +17,7 @@ from statediv import (
     PreserverOracle,
     RangeError,
     RankOneProjection,
+    SpectralDecomposition,
     SymmetryOp,
     TransitionTable,
     ValidationError,
@@ -533,7 +535,6 @@ class TestVerifyPreserver:
         assert outcome.max_state_residual < 1e-8
         assert outcome.max_probe_residual < 1e-8
         assert outcome.antiunitary is False
-        assert outcome.max_transition_recovery_deviation < 1e-6
 
     def test_transpose_is_antiunitary_preserver(self):
         outcome = verify_preserver(XLOGX, transpose_oracle(3), "jensen", sample_size=8, seed=4)
@@ -562,19 +563,52 @@ class TestVerifyPreserver:
         payload = json.dumps(outcome.to_dict())
         assert "antiunitary" in payload
 
-    def test_recovery_deviation_enters_verdict(self):
+    def test_failed_stage_names_the_first_failed_stage(self):
         rng = rng_for(224)
         op = SymmetryOp(matrix=haar_unitary(3, rng), antiunitary=False)
         outcome = verify_preserver(QUAD, conjugation_oracle(op), "bregman", sample_size=4, seed=8)
         assert outcome.passed
-        assert outcome.to_dict()["wigner_tol"] == outcome.wigner_tol
-        off = dataclasses.replace(
-            outcome, max_transition_recovery_deviation=2.0 * outcome.wigner_tol
-        )
-        assert not off.passed
-        assert not off.to_dict()["passed"]
-        skipped = dataclasses.replace(outcome, max_transition_recovery_deviation=None)
-        assert skipped.passed
+        assert outcome.failed_stage is None
+        assert outcome.to_dict()["failed_stage"] is None
+        over = 2.0 * outcome.divergence_tol
+        failures = [  # in the order verify_preserver runs the stages
+            ("divergence-deviation", {"max_divergence_deviation": over}),
+            ("divergence-deviation", {"max_divergence_deviation": math.nan}),
+            ("probe-rank-one", {"probe_images_rank_one": False}),
+            ("reconstruction", {"symmetry": None}),
+            ("state-residual", {"max_state_residual": over}),
+            ("state-residual", {"max_state_residual": math.nan}),
+        ]
+        for stage, change in failures:
+            failed = dataclasses.replace(outcome, **change)
+            assert failed.failed_stage == stage, change
+            assert not failed.passed
+            report = failed.to_dict()
+            assert report["failed_stage"] == stage
+            assert report["passed"] is False
+        for i, (first, change) in enumerate(failures):
+            for later, other in failures[i + 1 :]:
+                if later != first:
+                    both = dataclasses.replace(outcome, **change, **other)
+                    assert both.failed_stage == first, (change, other)
+
+    def test_nan_divergence_on_a_later_pair_fails(self):
+        calls = []
+
+        def mapping(state):  # a NaN eigenvalue in the image of the second sampled pair only
+            calls.append(state)
+            if len(calls) != 3:
+                return state
+            w = state.spectral.w.copy()
+            w[-1] = math.nan
+            spectral = SpectralDecomposition(w=w, v=state.spectral.v)
+            return DensityState(matrix=state.matrix, spectral=spectral)
+
+        oracle = PreserverOracle(dim=3, mapping=mapping, label="nan-image")
+        with np.errstate(invalid="ignore"):
+            outcome = verify_preserver(QUAD, oracle, "bregman", sample_size=4, seed=1)
+        assert math.isnan(outcome.max_divergence_deviation)
+        assert outcome.failed_stage == "divergence-deviation"
 
     def test_zero_samples_score_only_the_pure_pairs(self):
         outcome = verify_preserver(QUAD, transpose_oracle(3), "bregman", sample_size=0, seed=9)
@@ -591,57 +625,58 @@ class TestVerifyPreserver:
 
 
 # SHA-256 of json.dumps(verify_preserver(...).to_dict(), sort_keys=True) with
-# default arguments, taken when sampled states were drawn and scored one at a
-# time.  Conjugation oracles use haar_unitary(dim, rng_for(1100 + dim)).
+# default arguments; every numeric field equals the one taken when sampled
+# states were drawn and scored one at a time.  Conjugation oracles use
+# haar_unitary(dim, rng_for(1100 + dim)).
 VERIFY_DIGESTS = {
     (3, "bregman", "xlogx", "unitary"):
-        "d56d798b11b06a1c2cd6ea933117fe31944081192614210dad048cd2f420bb4c",
+        "94bb6273ed18216329f11faf5a0fef7204b47d0c726e020748a091c2e75f75d0",
     (3, "bregman", "xlogx", "antiunitary"):
-        "86fc59f86bb24103db80f045cb53cc6361b60812af28c9f0e513af8a7b4d1430",
+        "ec504fbde942ea4ff0ce0b5a04110d2b7fb3bb7142544902cbcc3a0ece91c466",
     (3, "bregman", "xlogx", "transpose"):
-        "76f88e1b8d7cf768dd182273ae864e6f29419ce92c0bb9b0fd3913945b7a63ae",
+        "e4f7c29441e43ce30989422af0c6e9bba510a8cc216d52ca984071a40456721b",
     (3, "bregman", "xlogx", "depolarizing"):
-        "99ba6b1d79511cceadfe252dbab54fead2859e1884b626b04da6d3468ba3dfd9",
+        "63e4a098867e963cd7d0d775e47b3449ba0b68016de3a33ba2fc2f46982a85e7",
     (3, "bregman", "quadratic", "unitary"):
-        "0a83b09836ae545fbcf3999a253275664db26ea51ac63a8bfa22a816061993fa",
+        "c2b7773cee641903a07260beeac68e087d3e1831da5510b187d4cdfaedea8cf9",
     (3, "bregman", "quadratic", "antiunitary"):
-        "6f11f08f08e64ffd547dbb517b820126cf024b07683c4c33b9f85c3e4e444d26",
+        "cbad16f3328ca7f02190584894b1adf06708f1eba7b8d3306a7120c4859edee0",
     (3, "bregman", "quadratic", "transpose"):
-        "8077b9b0b3ff12561aa436a065ac7ed35ee02a43d52faaa26dbeb7031ee98ace",
+        "c8dad17fe8aa8e4fe3458c9383e3511eb210623ffe97f2ca996ddc3486fc79b6",
     (3, "bregman", "quadratic", "depolarizing"):
-        "c303781b87fa9dcc28876e9fa7996f2688c827b8986258abe2bed47d469d6744",
+        "0c1068c71482c81958270c0dabb17363339af0b49d189f948ffe05f7818572db",
     (3, "jensen", "quadratic", "unitary"):
-        "b9d58606746ee9c82c44f31c171bd58c0ec0014a5d524190cb63053e86140565",
+        "3bb75e764af2ec9ad2885b32badfce0817c6cdb2346f12dc831f715053acd36a",
     (3, "jensen", "quadratic", "antiunitary"):
-        "4aafe255169c9affb7b8937f9c14434bf4b1f67907f527ba92c3e54eb4030f60",
+        "4100390e4fb177f1aa6bef51155eb0cb5dfdb66479aa85c52e5fcdd40ea1a41d",
     (3, "jensen", "quadratic", "transpose"):
-        "ca4560b6c6ca73a08b6d0ec2b342c829a3c3f47580e52d0e87bce281800c21b6",
+        "4d30b1c4a6816dfc94a4c575cc92471b945c5a9848249935be5fb82a077fe366",
     (3, "jensen", "quadratic", "depolarizing"):
-        "3dd4574dd96eba6603393f9aade55a7f634acf8c75d0b3ea985b7d0ca843cd98",
+        "1caea4141d65eb05f297be92fd896e6217b499e6e527bac54202a5a1554695d0",
     (8, "bregman", "xlogx", "unitary"):
-        "6bbd241b34522ee9c2729f223fdf230f7ad04697f180ccfd7d5297b66558430d",
+        "6b36762e0fa792720195b17dbfbf5041493713e7fe2b5982666415cf82680e5d",
     (8, "bregman", "xlogx", "antiunitary"):
-        "a080f0ba87b8b2c626f0af3404059a8a4c64e4633357495b344069f231ea95e8",
+        "051ca6d59215a4c400209ebc3a0f10632fc7e58be943e83f8381758cb9844c0e",
     (8, "bregman", "xlogx", "transpose"):
-        "f285e355bc72da7bb08ab567306a8753c06771b12869722d0b4116140c3be0d4",
+        "58d44e4100e7a7b56c7b6dea9250b2f22f9f3176957402c6460a194cd95a09fb",
     (8, "bregman", "xlogx", "depolarizing"):
-        "ec3172ff45bc27d2e7685baa43ce12e3bed28e52bae652d061d1e87d157b53da",
+        "ca0e039ce4d862c1fe3ecce40c262deb8910ef4304d139c9d379294878fd3101",
     (8, "bregman", "quadratic", "unitary"):
-        "5cd02bd71d3d6f8da63b74dda262cebc640f50ce10e9f43b758c8772e058d85c",
+        "74e78e6e81bf7848deffb9a9d1427b9f562e391686cf6b28aa5a861137ae06d5",
     (8, "bregman", "quadratic", "antiunitary"):
-        "4be5e7c87ee717b9de50db4b9cca35ca348ec8021a04b4d436ea8ac301ef0423",
+        "bb2847082fca672f6d45f7815a544df9f55ebe0c9a726ae9eae74fb091d25d09",
     (8, "bregman", "quadratic", "transpose"):
-        "2969f1a5380dff2ba0047e7782f0f70740f29288ce5306533e11319c524e556f",
+        "427426832a98ec3ecd459393e429c57aabd40359f6b4dc2726396da5acaf3d5f",
     (8, "bregman", "quadratic", "depolarizing"):
-        "00a8c70197fcce27c36842e277b3985d810f996a5a0f8d7d386fbcff5d96bcf0",
+        "f8fda6eeec428d0cf5efd89af21b355a309e70dce855608df5a84c468d8ec74f",
     (8, "jensen", "quadratic", "unitary"):
-        "70ca781e75b1d1a5ae106c2946c38c22ee3b32e143c8a5d6eac2db1202d7edf1",
+        "d7488bc10d865c9f2717875cb3f749d9c0d1e7120dafbfe938050b599479c916",
     (8, "jensen", "quadratic", "antiunitary"):
-        "ef6fba4e97ca10e47334d41caa619baff81cc58296d7b8fe9d9251ce58263d29",
+        "1e137fbb7a5b68e993e59c65ee3509ad410ae638dd36c16bcafcf7c6abb8c293",
     (8, "jensen", "quadratic", "transpose"):
-        "1d2176a805ad768d730a5d74226fc441da0c9e95c99ae43039edaebb3707520c",
+        "47c34aeb9ded9ddfc5e0eb897197c791a75d18973d630c67b14a8bd5c1d7658b",
     (8, "jensen", "quadratic", "depolarizing"):
-        "e215941f0a062d4abe23bee20c9f6e8a3c8656c87c294f379337ebe0f5ad98e1",
+        "f7196d909dd6dd90b328202ff00217d7f389eccb89d52815c2a9a3098fead4dc",
 }
 
 
@@ -679,3 +714,7 @@ class TestOracles:
         rng = rng_for(232)
         op = SymmetryOp.from_matrix(haar_unitary(3, rng), antiunitary=True)
         assert op.antiunitary
+
+    def test_symmetry_op_rejects_non_finite_entry(self):
+        with pytest.raises(ValidationError, match=r"non-finite entries: \[1, 1\]"):
+            SymmetryOp.from_matrix(np.array([[1.0, 0.0], [0.0, math.nan]]))

@@ -1,4 +1,4 @@
-"""Divergences at the dimensions the README claims (d = 64 and 128).
+"""Divergences and ``verify_preserver`` at the dimensions the README claims (d = 64 and 128).
 
 Full-rank, rank-d/2 and pure states, so both the finite double sum and the
 infinite branch run.  The reference is built here from ``np.linalg.eigh``
@@ -12,14 +12,19 @@ import pytest
 
 from statediv import (
     DEFAULT_TOLS,
+    SymmetryOp,
     bregman,
     bregman_trace_form,
+    conjugation_oracle,
+    depolarizing_oracle,
+    haar_unitary,
     jensen,
     jensen_via_bregman,
     parse_generator,
     random_pure,
     random_state,
     rng_for,
+    verify_preserver,
 )
 
 GENERATORS = {"xlogx": parse_generator("xlogx"), "power:q=3/2": parse_generator("power:q=3/2")}
@@ -93,3 +98,19 @@ def test_jensen_matches_averaged_bregman(states, spec):
         for b, y in states.items():
             if a < b:
                 assert jensen_via_bregman(f, x, y) == pytest.approx(jensen(f, x, y), abs=1e-8)
+
+
+@pytest.mark.parametrize("dim", [64, 128])
+@pytest.mark.parametrize("kind", ["bregman", "jensen"])
+def test_verify_antiunitary_conjugation(dim, kind):
+    op = SymmetryOp(matrix=haar_unitary(dim, rng_for(9100 + dim)), antiunitary=True)
+    outcome = verify_preserver(parse_generator("quadratic"), conjugation_oracle(op), kind)
+    assert outcome.passed
+    assert outcome.antiunitary is True
+    assert outcome.failed_stage is None
+
+
+def test_verify_depolarizing_fails_on_divergences():
+    outcome = verify_preserver(parse_generator("quadratic"), depolarizing_oracle(64), "bregman")
+    assert not outcome.passed
+    assert outcome.failed_stage == "divergence-deviation"
