@@ -524,11 +524,11 @@ def _probe_residual(
 ) -> float:
     if len(images) != len(probes):
         raise ParameterError(f"expected {len(probes)} probe images, got {len(images)}")
-    worst = 0.0
-    for probe, image in zip(probes, images):
-        predicted = op.apply_projection(probe).matrix
-        worst = max(worst, float(np.max(np.abs(predicted - image.matrix))))
-    return worst
+    # np.max, not the builtin: max(0.0, nan) drops a NaN that must fail the fit.
+    return float(np.max([
+        np.max(np.abs(op.apply_projection(probe).matrix - image.matrix))
+        for probe, image in zip(probes, images)
+    ]))
 
 
 # ---------------------------------------------------------------------------
@@ -811,10 +811,10 @@ def verify_preserver(
         except (NotAPreserverError, DegenerateProbeError) as exc:
             reconstruction_error = str(exc)
         if symmetry is not None:
-            state_residual = max(
-                float(np.max(np.abs(symmetry.apply_matrix(state.matrix) - image.matrix)))
+            state_residual = float(np.max([  # np.max keeps a NaN that the builtin can drop
+                np.max(np.abs(symmetry.apply_matrix(state.matrix) - image.matrix))
                 for state, image in zip(inputs, images)
-            )
+            ]))
 
     return PreserverVerification(
         kind=kind,

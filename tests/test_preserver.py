@@ -389,6 +389,19 @@ class TestWignerReconstruct:
         with pytest.raises(NotAPreserverError):
             wigner_reconstruct(images)
 
+    def test_nan_probe_residual_on_a_later_image_fails(self):
+        # The vectors are intact, so the pair gate passes; only the residual,
+        # read from the matrices, sees the NaN.
+        rng = rng_for(203)
+        source = SymmetryOp(matrix=haar_unitary(3, rng), antiunitary=False)
+        images = [source.apply_projection(p) for p in wigner_probes(3)]
+        matrix = images[2].matrix.copy()
+        matrix[1, 1] = math.nan
+        images[2] = RankOneProjection(vector=images[2].vector, source_matrix=matrix)
+        assert math.isnan(max_probe_residual(source, images))
+        with pytest.raises(NotAPreserverError, match="misses the probe images by nan"):
+            wigner_reconstruct(images)
+
     def test_inconsistent_transitions_name_the_pair(self):
         probes = wigner_probes(2)
         images = list(probes)
@@ -609,6 +622,25 @@ class TestVerifyPreserver:
             outcome = verify_preserver(QUAD, oracle, "bregman", sample_size=4, seed=1)
         assert math.isnan(outcome.max_divergence_deviation)
         assert outcome.failed_stage == "divergence-deviation"
+
+    def test_nan_state_residual_on_a_later_state_fails(self):
+        calls = []
+
+        def mapping(state):  # a NaN entry in the matrix of the third image; its spectrum is intact
+            calls.append(state)
+            if len(calls) != 3:
+                return state
+            matrix = state.matrix.copy()
+            matrix[0, 0] = math.nan
+            return DensityState(matrix=matrix, spectral=state.spectral)
+
+        oracle = PreserverOracle(dim=3, mapping=mapping, label="nan-matrix")
+        outcome = verify_preserver(QUAD, oracle, "bregman", sample_size=4, seed=1)
+        assert outcome.max_divergence_deviation == 0.0
+        assert outcome.reconstructed
+        assert math.isnan(outcome.max_state_residual)
+        assert outcome.failed_stage == "state-residual"
+        assert not outcome.passed
 
     def test_zero_samples_score_only_the_pure_pairs(self):
         outcome = verify_preserver(QUAD, transpose_oracle(3), "bregman", sample_size=0, seed=9)
