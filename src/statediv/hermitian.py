@@ -109,7 +109,12 @@ def decompose(
     ``psd_floor``, for validated states: every one below ``eps_supp``, and one
     below ``-tol_psd`` is an error).
     """
-    w, v = np.linalg.eigh(validate_hermitian(matrix, tols.tol_herm))
+    return _eigh(validate_hermitian(matrix, tols.tol_herm), tols, psd_floor)
+
+
+def _eigh(matrix: np.ndarray, tols: Tolerances, psd_floor: bool) -> SpectralDecomposition:
+    """:func:`decompose` of a matrix that ``validate_hermitian`` has returned."""
+    w, v = np.linalg.eigh(matrix)
     if psd_floor and w[0] < -tols.tol_psd:
         raise ValidationError(f"state has negative eigenvalue {w[0]:.3e} beyond {tols.tol_psd:.1e}")
     w = w[::-1]
@@ -175,7 +180,7 @@ class DensityState:
         trace = float(np.trace(matrix).real)
         if abs(trace - 1.0) > tols.tol_trace:
             raise ValidationError(f"state trace is {trace!r}, expected 1 within {tols.tol_trace:.1e}")
-        return cls(matrix=matrix, spectral=decompose(matrix, tols=tols, psd_floor=True))
+        return cls(matrix=matrix, spectral=_eigh(matrix, tols, psd_floor=True))
 
     @classmethod
     def from_orthonormal(cls, weights: Sequence[float], vectors: Sequence[np.ndarray]) -> "DensityState":

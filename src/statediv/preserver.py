@@ -129,8 +129,9 @@ class SymmetryOp:
 class PreserverOracle:
     """A queryable map on the state space (the object under test).
 
-    ``mapping`` must return a valid DensityState of the same dimension for
-    every state the engine queries; anything else raises ``OracleError``.
+    ``mapping`` must return a valid DensityState of the same dimension, with
+    finite eigenvalues, for every state the engine queries; anything else
+    raises ``OracleError``.
     """
 
     dim: int
@@ -148,6 +149,8 @@ class PreserverOracle:
             raise OracleError(f"oracle {self.label!r} returned {type(image).__name__}, not a DensityState")
         if image.dim != self.dim:
             raise OracleError(f"oracle {self.label!r} changed the dimension: {image.dim} != {self.dim}")
+        if not np.isfinite(image.spectral.w).all():
+            raise OracleError(f"oracle {self.label!r} returned non-finite eigenvalues {image.spectral.w!r}")
         return image
 
 

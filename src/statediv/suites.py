@@ -1,10 +1,14 @@
 """Named invariant suites with machine-readable, seed-deterministic reports.
 
 Each suite samples seeded instances, measures worst-case deviations against
-closed forms or independent routes, and returns a RunReport.  Reports are
-deterministic given (inputs, seed, tolerances); wall time is measured but kept
-out of the canonical serialization so that identical runs produce identical
-bytes.
+closed forms or independent routes, and returns a RunReport.  A sample set is
+drawn once per dimension and scored with one stacked divergence call per
+generator (``_bregman_pairs``, ``_jensen_pairs``), bit for bit the one-pair
+calls; the independent routes it is checked against (scipy ``logm``, the trace
+form, Jensen via Bregman and the rank-one and rank-two closed forms) stay one
+call per pair.  Reports are deterministic given (inputs, seed, tolerances);
+wall time is measured but kept out of the canonical serialization so that
+identical runs produce identical bytes.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bregman import (
-    bregman,
+    _bregman_pairs,
     bregman_rank_one_pair,
     bregman_rank_one_vs_rank_two,
     bregman_trace_form,
@@ -27,7 +31,7 @@ from .config import DEFAULT_TOLS, Tolerances
 from .errors import ParameterError
 from .generators import NormalizedGenerator, parse_generator
 from .hermitian import DensityState, RankOneProjection, transition_probability
-from .jensen import jensen, jensen_max_constant, jensen_rank_one, jensen_via_bregman
+from .jensen import _jensen_pairs, jensen_max_constant, jensen_rank_one, jensen_via_bregman
 from .preserver import (
     conjugation_oracle,
     depolarizing_oracle,
@@ -43,7 +47,7 @@ from .preserver import (
     SymmetryOp,
     TransitionTable,
 )
-from .sampling import haar_unitary, random_pure, random_state, rng_for
+from .sampling import _random_states, haar_unitary, random_pure, random_state, rng_for
 
 __all__ = ["CheckResult", "RunReport", "run_suite", "SUITE_NAMES"]
 
@@ -110,13 +114,14 @@ class RunReport:
 
 
 def _pairs(dim: int, count: int, rng, *, floor: float = 1e-3):
-    for _ in range(count):
-        a = random_state(dim, rng=rng, eigenvalue_floor=floor)
-        yield a, random_state(dim, rng=rng, eigenvalue_floor=floor)
+    """``count`` pairs of random states, drawn as consecutive states of one call: (xs, ys)."""
+    states = _random_states(2 * count, dim, rng=rng, eigenvalue_floor=floor)
+    return states[0::2], states[1::2]
 
 
 def _worst(devs) -> float:
-    return max(devs) if devs else 0.0
+    """The largest deviation, 0.0 if none; np.max keeps a NaN that the builtin can drop."""
+    return float(np.max(devs)) if len(devs) else 0.0
 
 
 def _within(name: str, devs, tol: float) -> CheckResult:
@@ -140,14 +145,17 @@ def _suite_closed_forms(
 
     devs_hs_b, devs_hs_j, devs_umegaki = [], [], []
     for dim in dims:
-        rng = rng_for(seed + 1000 * dim)
-        for a, b in _pairs(dim, samples, rng):
+        xs, ys = _pairs(dim, samples, rng_for(seed + 1000 * dim))
+        quad_b = _bregman_pairs(quad, xs, ys, tols)
+        quad_j = _jensen_pairs(quad, xs, ys, tols)
+        relative = _bregman_pairs(xlogx, xs, ys, tols)
+        for a, b, h, j, r in zip(xs, ys, quad_b, quad_j, relative):
             diff = a.matrix - b.matrix
             hs = float(np.trace(diff @ diff).real)
-            devs_hs_b.append(abs(bregman(quad, a, b, tols=tols) - hs))
-            devs_hs_j.append(abs(jensen(quad, a, b, tols=tols) - hs / 4.0))
+            devs_hs_b.append(abs(h - hs))
+            devs_hs_j.append(abs(j - hs / 4.0))
             umegaki = float(np.trace(a.matrix @ (logm(a.matrix) - logm(b.matrix))).real)
-            devs_umegaki.append(abs(bregman(xlogx, a, b, tols=tols) - umegaki))
+            devs_umegaki.append(abs(r - umegaki))
     report.checks.append(_within("quadratic-bregman-hilbert-schmidt", devs_hs_b, 1e-10))
     report.checks.append(_within("quadratic-jensen-hilbert-schmidt", devs_hs_j, 1e-10))
     report.checks.append(_within("umegaki-operator-log", devs_umegaki, 1e-8))
@@ -157,46 +165,44 @@ def _suite_closed_forms(
     devs = {label: defaultdict(list) for label in generators}
     for dim in dims:
         rng = rng_for(seed + 2000 * dim)
-        for a, b in _pairs(dim, samples, rng):
-            for label, gen in generators.items():
-                devs[label]["trace"].append(
-                    abs(bregman(gen, a, b, tols=tols) - bregman_trace_form(gen, a, b, tols=tols))
-                )
-                devs[label]["jvb"].append(
-                    abs(jensen(gen, a, b, tols=tols) - jensen_via_bregman(gen, a, b, tols=tols))
-                )
-        if dim > 1:
-            low_rank = random_state(dim, rank=max(1, dim - 1), rng=rng, eigenvalue_floor=1e-2)
-            full = random_state(dim, rng=rng, eigenvalue_floor=1e-2)
-            for label, gen in generators.items():
-                general = bregman(gen, low_rank, full, tols=tols)
-                devs[label]["trace"].append(abs(general - bregman_trace_form(gen, low_rank, full, tols=tols)))
+        xs, ys = _pairs(dim, samples, rng)
+        # The trace form is also checked on one rank-deficient X.
+        trace_xs = xs + [random_state(dim, rank=dim - 1, rng=rng, eigenvalue_floor=1e-2)]
+        trace_ys = ys + [random_state(dim, rng=rng, eigenvalue_floor=1e-2)]
+        pure, mixed = [], []
         for _ in range(samples):
             p, q = random_pure(dim, rng), random_pure(dim, rng)
-            overlap = transition_probability(p, q)
             lam = float(rng.uniform(0.05, 0.45))
             basis = haar_unitary(dim, rng)
             pp = RankOneProjection.from_vector(basis[:, 0])
             qq = RankOneProjection.from_vector(basis[:, 1])
             r_vec = basis[:, 0] * math.cos(0.7) + basis[:, 1] * math.sin(0.7) * np.exp(0.3j)
             rr = RankOneProjection.from_vector(r_vec)
-            p_state, q_state = p.to_state(), q.to_state()
-            r_state, mixture = rr.to_state(), rank_two_mixture(lam, pp, qq, tols=tols)
-            for label, gen in generators.items():
-                devs[label]["r1"].append(
-                    abs(jensen(gen, p_state, q_state, tols=tols) - jensen_rank_one(gen, overlap, tols=tols))
-                )
+            pure.append((p, q, transition_probability(p, q)))
+            mixed.append((rr, lam, pp, qq))
+        basis = haar_unitary(dim, rng_for(seed + 3000 * dim))
+        orthogonal = [RankOneProjection.from_vector(basis[:, k]) for k in (0, 1)]
+        # The orthogonal pair goes last on the pure states' stack.
+        p_states = [p.to_state() for p, _, _ in pure] + [orthogonal[0].to_state()]
+        q_states = [q.to_state() for _, q, _ in pure] + [orthogonal[1].to_state()]
+        r_states = [rr.to_state() for rr, _, _, _ in mixed]
+        mixtures = [rank_two_mixture(lam, pp, qq, tols=tols) for _, lam, pp, qq in mixed]
+        for label, gen in generators.items():
+            found = devs[label]
+            for a, b, general in zip(trace_xs, trace_ys, _bregman_pairs(gen, trace_xs, trace_ys, tols)):
+                found["trace"].append(abs(general - bregman_trace_form(gen, a, b, tols=tols)))
+            for a, b, value in zip(xs, ys, _jensen_pairs(gen, xs, ys, tols)):
+                found["jvb"].append(abs(value - jensen_via_bregman(gen, a, b, tols=tols)))
+            *pure_values, orthogonal_value = _jensen_pairs(gen, p_states, q_states, tols)
+            for (p, q, overlap), value in zip(pure, pure_values):
+                found["r1"].append(abs(value - jensen_rank_one(gen, overlap, tols=tols)))
                 if gen.finite_zero_slope:
                     closed = (1.0 - overlap) * (gen.slope(1.0) - gen.slope_at_zero)
-                    devs[label]["pair"].append(abs(bregman_rank_one_pair(gen, p, q, tols=tols) - closed))
+                    found["pair"].append(abs(bregman_rank_one_pair(gen, p, q, tols=tols) - closed))
+            for (rr, lam, pp, qq), value in zip(mixed, _bregman_pairs(gen, r_states, mixtures, tols)):
                 closed = bregman_rank_one_vs_rank_two(gen, rr, lam, pp, qq, tols=tols)
-                devs[label]["mix"].append(abs(closed - bregman(gen, r_state, mixture, tols=tols)))
-        rng = rng_for(seed + 3000 * dim)
-        basis = haar_unitary(dim, rng)
-        p_state = RankOneProjection.from_vector(basis[:, 0]).to_state()
-        q_state = RankOneProjection.from_vector(basis[:, 1]).to_state()
-        for label, gen in generators.items():
-            devs[label]["max"].append(abs(jensen(gen, p_state, q_state, tols=tols) - jensen_max_constant(gen)))
+                found["mix"].append(abs(closed - value))
+            found["max"].append(abs(orthogonal_value - jensen_max_constant(gen)))
 
     for label in generators:
         found = devs[label]
@@ -223,16 +229,15 @@ def _suite_preserver(
     devs = {label: defaultdict(list) for label in generators}
     for dim in dims:
         rng = rng_for(seed + 4000 * dim)
-        for _ in range(10):
-            p, q = random_pure(dim, rng), random_pure(dim, rng)
-            truth = transition_probability(p, q)
-            p_state, q_state = p.to_state(), q.to_state()
-            for label, gen in generators.items():
-                j_val = jensen(gen, p_state, q_state, tols=tols)
-                devs[label]["j"].append(abs(transition_from_jensen(gen, j_val, tols=tols) - truth))
-                if gen.finite_zero_slope:
-                    h_val = bregman_rank_one_pair(gen, p, q, tols=tols)
-                    devs[label]["b"].append(abs(transition_from_bregman(gen, h_val, tols=tols) - truth))
+        pairs = [(random_pure(dim, rng), random_pure(dim, rng)) for _ in range(10)]
+        truth = np.array([transition_probability(p, q) for p, q in pairs])
+        p_states, q_states = [p.to_state() for p, _ in pairs], [q.to_state() for _, q in pairs]
+        for label, gen in generators.items():
+            j_vals = np.array(_jensen_pairs(gen, p_states, q_states, tols))
+            devs[label]["j"] += np.abs(transition_from_jensen(gen, j_vals, tols=tols) - truth).tolist()
+            if gen.finite_zero_slope:
+                h_vals = np.array([bregman_rank_one_pair(gen, p, q, tols=tols) for p, q in pairs])
+                devs[label]["b"] += np.abs(transition_from_bregman(gen, h_vals, tols=tols) - truth).tolist()
     for label, gen in generators.items():
         found = devs[label]
         recovery = probe_transitions_via_divergence(gen, probes, "bregman", tols=tols).max_deviation(direct)
@@ -284,7 +289,7 @@ def _suite_preserver(
         for oracle in (depolarizing_oracle(dim, 0.5, tols), diagonal_oracle(dim, tols)):
             outcome = verify_preserver(gen, oracle, "jensen", sample_size=6, seed=seed + dim, tols=tols)
             margins.append(outcome.max_divergence_deviation)
-    worst_margin = min(margins) if margins else math.inf
+    worst_margin = float(np.min(margins, initial=math.inf))  # keeps a NaN that the builtin can drop
     report.checks.append(
         CheckResult(
             "non-preservers-rejected",
@@ -304,37 +309,39 @@ def _suite_convexity(
     report: RunReport, dims, generators: dict[str, NormalizedGenerator], seed: int, tols: Tolerances
 ) -> None:
     samples = 40
-    min_gap = dict.fromkeys(generators, math.inf)
-    max_joint_violation = dict.fromkeys(generators, -math.inf)
+    gaps = {label: [] for label in generators}
+    violations = {label: [] for label in generators}
     # Members draw two more states per sample, so each membership value that
     # occurs has its own sample stream, shared by the generators that have it.
     for member in dict.fromkeys(gen.matrix_entropy_member for gen in generators.values()):
         group = {label: gen for label, gen in generators.items() if gen.matrix_entropy_member == member}
         for dim in dims:
             rng = rng_for(seed + 6000 * dim)
+            # Per sample, the pairs (a, d), (b, d), (mix, d) and, for members,
+            # (mix_a, mix_b), (a, b), (a2, b2): one row of the stack each.
+            xs, ys, ts = [], [], []
             for _ in range(samples):
-                a = random_state(dim, rng=rng, eigenvalue_floor=1e-3)
-                b = random_state(dim, rng=rng, eigenvalue_floor=1e-3)
-                d = random_state(dim, rng=rng, eigenvalue_floor=1e-3)
+                a, b, d = _random_states(3, dim, rng=rng, eigenvalue_floor=1e-3)
                 t = float(rng.uniform(0.1, 0.9))
                 mix = DensityState.from_matrix(t * a.matrix + (1.0 - t) * b.matrix, tols)
+                xs += [a, b, mix]
+                ys += [d, d, d]
                 if member:
-                    a2 = random_state(dim, rng=rng, eigenvalue_floor=1e-3)
-                    b2 = random_state(dim, rng=rng, eigenvalue_floor=1e-3)
+                    a2, b2 = _random_states(2, dim, rng=rng, eigenvalue_floor=1e-3)
                     mix_a = DensityState.from_matrix(t * a.matrix + (1.0 - t) * a2.matrix, tols)
                     mix_b = DensityState.from_matrix(t * b.matrix + (1.0 - t) * b2.matrix, tols)
-                for label, gen in group.items():
-                    gap = (
-                        t * bregman(gen, a, d, tols=tols)
-                        + (1.0 - t) * bregman(gen, b, d, tols=tols)
-                        - bregman(gen, mix, d, tols=tols)
-                    )
-                    min_gap[label] = min(min_gap[label], gap)
-                    if member:
-                        violation = bregman(gen, mix_a, mix_b, tols=tols) - (
-                            t * bregman(gen, a, b, tols=tols) + (1.0 - t) * bregman(gen, a2, b2, tols=tols)
-                        )
-                        max_joint_violation[label] = max(max_joint_violation[label], violation)
+                    xs += [mix_a, a, a2]
+                    ys += [mix_b, b, b2]
+                ts.append(t)
+            t = np.array(ts)
+            for label, gen in group.items():
+                h = np.array(_bregman_pairs(gen, xs, ys, tols)).reshape(samples, -1).T
+                gaps[label] += (t * h[0] + (1.0 - t) * h[1] - h[2]).tolist()
+                if member:
+                    violations[label] += (h[3] - (t * h[4] + (1.0 - t) * h[5])).tolist()
+    # np.min and np.max keep a NaN that the builtins can drop.
+    min_gap = {label: float(np.min(found, initial=math.inf)) for label, found in gaps.items()}
+    max_joint_violation = {label: float(np.max(found, initial=-math.inf)) for label, found in violations.items()}
     for label, gen in generators.items():
         report.checks.append(
             CheckResult(

@@ -1,12 +1,13 @@
 import hashlib
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from statediv import density_state, rng_for
+from statediv import DensityState, PreserverOracle, SpectralDecomposition, density_state, rng_for
 from statediv.cli import main
 from statediv.files import read_state, read_symmetry, read_table, write_state
 
@@ -164,6 +165,19 @@ class TestTable:
 
 
 class TestReconstructAndVerify:
+    def test_probes_refuses_an_image_with_non_finite_eigenvalues(self, tmp_path, monkeypatch, capsys):
+        def mapping(state):  # the matrix is intact; one eigenvalue is NaN
+            w = state.spectral.w.copy()
+            w[-1] = math.nan
+            return DensityState(matrix=state.matrix, spectral=SpectralDecomposition(w=w, v=state.spectral.v))
+
+        oracle = PreserverOracle(dim=3, mapping=mapping, label="nan-image")
+        monkeypatch.setattr("statediv.cli._parse_oracle", lambda spec, dim, tols: oracle)
+        probes_file = tmp_path / "probes.json"
+        assert main(["probes", "--dim", "3", "--oracle", "transpose", "-o", str(probes_file)]) == 8
+        assert "non-finite eigenvalues" in capsys.readouterr().err
+        assert not probes_file.exists()
+
     def test_probe_reconstruct_roundtrip_unitary(self, tmp_path):
         u_file = tmp_path / "u.json"
         probes_file = tmp_path / "probes.json"

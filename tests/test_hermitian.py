@@ -1,8 +1,10 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from statediv import hermitian
 from statediv import (
     DensityState,
     DimensionMismatchError,
@@ -209,6 +211,17 @@ class TestDensityState:
     def test_rejects_non_finite_entry(self, bad):
         with pytest.raises(ValidationError, match=r"non-finite entries: \[0, 0\]"):
             DensityState.from_matrix(np.array([[bad, 0.0], [0.0, 0.5]]))
+
+    def test_validates_once_and_decomposes_as_decompose(self):
+        matrix = random_hermitian(4, rng_for(12))
+        matrix = matrix @ matrix.conj().T
+        matrix /= np.trace(matrix).real
+        with mock.patch.object(hermitian, "validate_hermitian", wraps=hermitian.validate_hermitian) as spy:
+            state = DensityState.from_matrix(matrix)
+        assert spy.call_count == 1
+        expected = decompose(matrix, psd_floor=True)
+        assert np.array_equal(state.spectral.w, expected.w)
+        assert np.array_equal(state.spectral.v, expected.v)
 
     def test_support_of_rank_deficient_state(self):
         state = density_state(np.diag([0.5, 0.5, 0.0]))

@@ -56,6 +56,7 @@ from statediv import (
     wigner_probes,
     wigner_reconstruct,
 )
+from statediv import preserver
 from statediv.preserver import _gram, _pair_divergences
 from conftest import mixed_state_with_gap, orthogonal_pure_pair
 
@@ -605,21 +606,21 @@ class TestVerifyPreserver:
                     both = dataclasses.replace(outcome, **change, **other)
                     assert both.failed_stage == first, (change, other)
 
-    def test_nan_divergence_on_a_later_pair_fails(self):
-        calls = []
+    def test_nan_divergence_on_a_later_pair_fails(self, monkeypatch):
+        # The oracle refuses a NaN eigenvalue, so the NaN enters as a divergence
+        # value: the images' score, on the second sampled pair only.
+        score, calls = preserver._bregman_pairs, []
 
-        def mapping(state):  # a NaN eigenvalue in the image of the second sampled pair only
-            calls.append(state)
-            if len(calls) != 3:
-                return state
-            w = state.spectral.w.copy()
-            w[-1] = math.nan
-            spectral = SpectralDecomposition(w=w, v=state.spectral.v)
-            return DensityState(matrix=state.matrix, spectral=spectral)
+        def nan_on_images(f, xs, ys, tols):
+            values = score(f, xs, ys, tols)
+            calls.append(xs)
+            if len(calls) == 2:
+                values[1] = math.nan
+            return values
 
-        oracle = PreserverOracle(dim=3, mapping=mapping, label="nan-image")
-        with np.errstate(invalid="ignore"):
-            outcome = verify_preserver(QUAD, oracle, "bregman", sample_size=4, seed=1)
+        monkeypatch.setattr(preserver, "_bregman_pairs", nan_on_images)
+        outcome = verify_preserver(QUAD, transpose_oracle(3), "bregman", sample_size=4, seed=1)
+        assert len(calls) == 2
         assert math.isnan(outcome.max_divergence_deviation)
         assert outcome.failed_stage == "divergence-deviation"
 
@@ -734,6 +735,19 @@ class TestOracles:
         bad = PreserverOracle(dim=2, mapping=lambda s: density_state(np.eye(3) / 3), label="bad")
         with pytest.raises(OracleError):
             bad(density_state(np.eye(2) / 2))
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_oracle_rejects_non_finite_eigenvalues(self, bad):
+        def mapping(state):  # the matrix is intact; one eigenvalue is not finite
+            w = state.spectral.w.copy()
+            w[-1] = bad
+            return DensityState(matrix=state.matrix, spectral=SpectralDecomposition(w=w, v=state.spectral.v))
+
+        oracle = PreserverOracle(dim=3, mapping=mapping, label="non-finite")
+        with pytest.raises(OracleError, match="non-finite eigenvalues"):
+            oracle(density_state(np.eye(3) / 3))
+        with pytest.raises(OracleError, match="non-finite eigenvalues"):
+            verify_preserver(QUAD, oracle, "bregman", sample_size=2, seed=1)
 
     def test_oracle_validates_output_type(self):
         bad = PreserverOracle(dim=2, mapping=lambda s: s.matrix, label="bad")

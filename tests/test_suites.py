@@ -1,8 +1,12 @@
-"""Suite reports: pinned bytes, and one sample set per dimension shared by every generator."""
+"""Suite reports: pinned bytes; one sample set per dimension, shared by every
+generator and scored with one stacked call per generator; a NaN fails its check."""
 
+import dataclasses
 import hashlib
+import math
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from statediv import suites
@@ -33,11 +37,98 @@ def test_report_bytes_are_pinned(name, kwargs, digest):
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
 
 
-def _random_state_calls(generator_specs) -> int:
-    with mock.patch.object(suites, "random_state", wraps=suites.random_state) as spy:
+def _states_drawn(generator_specs, monkeypatch) -> int:
+    drawn = []
+
+    def counting(fn, size):
+        def wrapper(*args, **kwargs):
+            states = fn(*args, **kwargs)
+            drawn.append(size(states))
+            return states
+
+        return wrapper
+
+    with monkeypatch.context() as m:
+        m.setattr(suites, "_random_states", counting(suites._random_states, len))
+        m.setattr(suites, "random_state", counting(suites.random_state, lambda _: 1))
         run_suite("all", dims=(2, 3), generator_specs=generator_specs)
-    return spy.call_count
+    return sum(drawn)
 
 
-def test_samples_are_drawn_once_per_dimension():
-    assert _random_state_calls(("xlogx",)) == _random_state_calls(DEFAULT_GENERATORS)
+def test_samples_are_drawn_once_per_dimension(monkeypatch):
+    drawn = _states_drawn(("xlogx",), monkeypatch)
+    assert drawn > 0
+    assert drawn == _states_drawn(DEFAULT_GENERATORS, monkeypatch)
+
+
+def test_each_sample_set_is_scored_with_one_call_per_generator():
+    dims = (2, 3)
+    with (
+        mock.patch.object(suites, "_bregman_pairs", wraps=suites._bregman_pairs) as bregman_calls,
+        mock.patch.object(suites, "_jensen_pairs", wraps=suites._jensen_pairs) as jensen_calls,
+    ):
+        assert run_suite("all", dims=dims).passed
+    per_dim = len(DEFAULT_GENERATORS) * len(dims)
+    # closed-forms: quadratic and xlogx on the Hilbert-Schmidt/Umegaki set, then
+    # per generator the trace-form set and the rank-two mixtures; convexity:
+    # per generator the stack of all pairs of all samples.
+    assert bregman_calls.call_count == 2 * len(dims) + 2 * per_dim + per_dim
+    # closed-forms: quadratic on the Hilbert-Schmidt set, then per generator the
+    # Jensen-via-Bregman set and the pure pairs; preserver-roundtrip: per
+    # generator the transition pairs.
+    assert jensen_calls.call_count == len(dims) + 2 * per_dim + per_dim
+    for call in bregman_calls.call_args_list + jensen_calls.call_args_list:
+        assert len(call.args[1]) >= 10  # a sample set, not a pair
+
+
+def _nan_from_half_on(score):
+    """``score`` with every value from the middle of each stack on replaced by NaN."""
+
+    def wrapper(f, xs, ys, tols):
+        values = score(f, xs, ys, tols)
+        values[len(values) // 2 :] = [math.nan] * (len(values) - len(values) // 2)
+        return values
+
+    return wrapper
+
+
+@pytest.mark.parametrize(
+    "name, failing, passing",
+    [
+        (
+            "closed-forms",
+            ["quadratic-bregman-hilbert-schmidt", "umegaki-operator-log", "bregman-trace-form[quadratic]",
+             "bregman-rank-two-closed-form[quadratic]"],
+            ["quadratic-jensen-hilbert-schmidt", "jensen-rank-one-law[quadratic]"],
+        ),
+        ("convexity", ["strict-convexity-first-argument[quadratic]", "joint-convexity[quadratic]"], []),
+    ],
+)
+def test_nan_divergence_on_a_later_sample_fails_its_check(name, failing, passing, monkeypatch):
+    monkeypatch.setattr(suites, "_bregman_pairs", _nan_from_half_on(suites._bregman_pairs))
+    with np.errstate(invalid="ignore"):
+        report = run_suite(name, dims=(2, 3), generator_specs=("quadratic",))
+    checks = {check.name: check for check in report.checks}
+    for check_name in failing:
+        assert not checks[check_name].passed, check_name
+        assert math.isnan(checks[check_name].deviation), check_name
+    for check_name in passing:  # no Bregman value reaches these
+        assert checks[check_name].passed, check_name
+    assert report.to_dict()["passed"] is False
+
+
+def test_nan_margin_on_a_later_non_preserver_fails(monkeypatch):
+    verify = suites.verify_preserver
+
+    def nan_for_diagonal(f, oracle, *args, **kwargs):  # depolarizing is checked first, diagonal second
+        outcome = verify(f, oracle, *args, **kwargs)
+        if oracle.label == "diagonal":
+            outcome = dataclasses.replace(outcome, max_divergence_deviation=math.nan)
+        return outcome
+
+    monkeypatch.setattr(suites, "verify_preserver", nan_for_diagonal)
+    report = run_suite("preserver-roundtrip", dims=(2,), generator_specs=("quadratic",))
+    rejected = next(check for check in report.checks if check.name == "non-preservers-rejected")
+    assert not rejected.passed
+    assert math.isnan(rejected.deviation)
+    assert not report.passed
