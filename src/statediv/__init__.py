@@ -56,13 +56,11 @@ from .preserver import (
     PreserverOracle,
     PreserverVerification,
     SymmetryOp,
-    TransitionTable,
     conjugation_oracle,
     depolarizing_oracle,
     diagonal_oracle,
     is_pure_by_max,
     max_divergence_functional,
-    max_probe_residual,
     probe_labels,
     probe_transitions_via_divergence,
     pure_reference_value,
@@ -71,6 +69,7 @@ from .preserver import (
     transition_from_bregman,
     transition_from_bregman_rank_two,
     transition_from_jensen,
+    transition_table,
     transpose_oracle,
     verify_preserver,
     wigner_probes,

@@ -18,9 +18,8 @@ Distinct exit codes identify the failure class:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
-import json
-import math
 import sys
 from pathlib import Path
 
@@ -62,7 +61,7 @@ EXIT_DOMAIN = 6
 EXIT_NOT_PRESERVER = 7
 EXIT_ORACLE = 8
 
-_TOL_FLAGS = ("tol_herm", "tol_psd", "tol_trace", "tol_num", "eps_supp", "cluster_tol")
+_TOL_FLAGS = tuple(field.name for field in dataclasses.fields(Tolerances))
 
 
 def _tolerance_parent() -> argparse.ArgumentParser:
@@ -217,20 +216,7 @@ def _cmd_table(args: argparse.Namespace, tols: Tolerances) -> int:
         labels=tuple(labels),
         values=tuple(tuple(row) for row in values),
     )
-    if args.output:
-        files.write_table(args.output, table)
-    else:
-        json.dump(
-            {
-                "kind": table.kind,
-                "generator": table.generator,
-                "labels": list(table.labels),
-                "values": [["inf" if math.isinf(v) else v for v in row] for row in table.values],
-            },
-            sys.stdout,
-            indent=2,
-        )
-        print()
+    files.write_table(args.output, table)
     return 0
 
 
@@ -255,10 +241,8 @@ def _cmd_reconstruct(args: argparse.Namespace, tols: Tolerances) -> int:
         "output": args.output,
     }
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2)
-            handle.write("\n")
-    print(json.dumps(report, indent=2))
+        files.write_json(args.report, report)
+    files.write_json(None, report)
     return 0
 
 
@@ -268,11 +252,8 @@ def _cmd_verify(args: argparse.Namespace, tols: Tolerances) -> int:
     outcome = verify_preserver(
         generator, oracle, args.kind, sample_size=args.samples, seed=args.seed, tols=tols
     )
-    payload = outcome.to_dict()
-    for key, value in payload.items():
-        if isinstance(value, float) and math.isinf(value):
-            payload[key] = "inf"
-    print(json.dumps(payload, indent=2))
+    payload = {k: files.json_value(v) if isinstance(v, float) else v for k, v in outcome.to_dict().items()}
+    files.write_json(None, payload)
     return 0 if outcome.passed else EXIT_CHECK_FAILED
 
 
@@ -286,13 +267,7 @@ def _cmd_suite(args: argparse.Namespace, tols: Tolerances) -> int:
         command=command,
         tols=tols,
     )
-    payload = report.to_json()
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(payload)
-            handle.write("\n")
-    else:
-        print(payload)
+    files.write_json(args.output, report.to_dict())
     print(f"suite {args.name}: wall time {report.wall_time_s:.3f}s", file=sys.stderr)
     return 0 if report.passed else EXIT_CHECK_FAILED
 

@@ -45,7 +45,7 @@ class Tolerances:
 DEFAULT_TOLS = Tolerances()
 
 
-def tolerances_from_env(environ: dict[str, str] | None = None) -> Tolerances:
+def tolerances_from_env() -> Tolerances:
     """Build tolerances from STATEDIV_* environment variables.
 
     Recognized names: STATEDIV_TOL_HERM, STATEDIV_TOL_PSD, STATEDIV_TOL_TRACE,
@@ -53,10 +53,9 @@ def tolerances_from_env(environ: dict[str, str] | None = None) -> Tolerances:
     fall back to the defaults; explicit --tol-* CLI flags take precedence over
     the environment.
     """
-    environ = os.environ if environ is None else environ
     overrides: dict[str, float] = {}
     for field in dataclasses.fields(Tolerances):
-        raw = environ.get(ENV_PREFIX + field.name.upper())
+        raw = os.environ.get(ENV_PREFIX + field.name.upper())
         if raw is not None:
             overrides[field.name] = float(raw)
     return Tolerances(**overrides)

@@ -6,13 +6,16 @@ needs a bit-exact, trivially parseable format.  Floats are written with
 Python's shortest round-tripping repr, so write -> read -> write is
 byte-identical.  The infinite divergence value is serialized as the literal
 string "inf" -- never as a sentinel number -- because the finite/infinite
-dichotomy is semantic, not numeric.
+dichotomy is semantic, not numeric.  Every JSON document the package writes
+follows one rule for non-finite numbers (``json_value``): the strings "inf",
+"-inf" and "nan", since JSON has no token for them.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -36,6 +39,8 @@ __all__ = [
     "read_table",
     "write_table",
     "format_divergence",
+    "json_value",
+    "write_json",
 ]
 
 
@@ -44,8 +49,10 @@ def format_divergence(value: float) -> str:
     return "inf" if math.isinf(value) else f"{value:.12f}"
 
 
-def _json_value(value: float) -> "float | str":
-    return "inf" if math.isinf(value) else float(value)
+def json_value(value: float) -> "float | str":
+    """``value`` as a float, or as "inf", "-inf" or "nan" when it is not finite."""
+    value = float(value)
+    return value if math.isfinite(value) else str(value)
 
 
 def _parse_value(raw: object, context: str) -> float:
@@ -91,10 +98,13 @@ def _load_json(path: "str | Path") -> dict:
     return obj
 
 
-def _dump_json(path: "str | Path", obj: dict) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(obj, handle, indent=2)
-        handle.write("\n")
+def write_json(path: "str | Path | None", obj: dict) -> None:
+    """``obj`` as indented JSON and a newline, to the file ``path``, or to stdout when None."""
+    text = json.dumps(obj, indent=2) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        Path(path).write_text(text, encoding="utf-8")
 
 
 def _read_dim(obj: dict, path: "str | Path") -> int:
@@ -105,7 +115,7 @@ def _read_dim(obj: dict, path: "str | Path") -> int:
 
 
 def write_state(path: "str | Path", state: DensityState) -> None:
-    _dump_json(path, {"dim": state.dim, **_matrix_payload(state.matrix)})
+    write_json(path, {"dim": state.dim, **_matrix_payload(state.matrix)})
 
 
 def read_state(path: "str | Path", tols: Tolerances = DEFAULT_TOLS) -> DensityState:
@@ -116,7 +126,7 @@ def read_state(path: "str | Path", tols: Tolerances = DEFAULT_TOLS) -> DensitySt
 
 
 def write_symmetry(path: "str | Path", op: SymmetryOp) -> None:
-    _dump_json(
+    write_json(
         path,
         {"dim": op.dim, "antiunitary": bool(op.antiunitary), **_matrix_payload(op.matrix)},
     )
@@ -146,7 +156,7 @@ def write_probe_images(path: "str | Path", images: Sequence[RankOneProjection]) 
             for label, image in zip(labels, images)
         ],
     }
-    _dump_json(path, payload)
+    write_json(path, payload)
 
 
 def read_probe_images(
@@ -209,14 +219,15 @@ class DivergenceTable:
                 )
 
 
-def write_table(path: "str | Path", table: DivergenceTable) -> None:
+def write_table(path: "str | Path | None", table: DivergenceTable) -> None:
+    """Write the table as JSON to ``path``, or to stdout when None."""
     payload = {
         "kind": table.kind,
         "generator": table.generator,
         "labels": list(table.labels),
-        "values": [[_json_value(v) for v in row] for row in table.values],
+        "values": [[json_value(v) for v in row] for row in table.values],
     }
-    _dump_json(path, payload)
+    write_json(path, payload)
 
 
 def read_table(path: "str | Path") -> DivergenceTable:

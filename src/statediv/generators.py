@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_TOLS, Tolerances
+from .config import DEFAULT_TOLS
 from .errors import DomainError, ParameterError
 
 __all__ = [
@@ -222,13 +222,7 @@ FD_TOL = 1e-6
 FD_GRID_LO = 1e-2
 
 
-def validate(
-    f: GeneratorFunction,
-    grid: Sequence[float] | None = None,
-    *,
-    tols: Tolerances = DEFAULT_TOLS,
-    fd_tol: float = FD_TOL,
-) -> GeneratorValidationReport:
+def validate(f: GeneratorFunction, grid: Sequence[float] | None = None) -> GeneratorValidationReport:
     """Numerically audit a generator's declared hypotheses.
 
     Checks strict convexity (midpoint rule) and strict monotonicity of the
@@ -249,11 +243,11 @@ def validate(
         a, b = xs[k], xs[k + 1]
         mid = 0.5 * (a + b)
         gap = 0.5 * (fx[k] + fx[k + 1]) - f(mid)
-        if gap <= -tols.tol_num:
+        if gap <= -DEFAULT_TOLS.tol_num:
             violations.append(
                 Violation("convexity", mid, f"midpoint gap {gap:.3e} violates convexity")
             )
-        if dfx[k + 1] - dfx[k] <= -tols.tol_num:
+        if dfx[k + 1] - dfx[k] <= -DEFAULT_TOLS.tol_num:
             violations.append(
                 Violation(
                     "derivative-monotonicity",
@@ -266,7 +260,7 @@ def validate(
         h = 1e-6 * max(1.0, x)
         fd = (f(x + h) - f(x - h)) / (2.0 * h)
         slope = f.slope(x)
-        if abs(fd - slope) > fd_tol * max(1.0, abs(slope), abs(fd)):
+        if abs(fd - slope) > FD_TOL * max(1.0, abs(slope), abs(fd)):
             violations.append(
                 Violation(
                     "derivative-mismatch",
@@ -278,7 +272,7 @@ def validate(
     if f.finite_zero_slope:
         head = dfx[: min(8, len(dfx))]
         gaps = head - f.slope_at_zero
-        if gaps[0] < -tols.tol_num:
+        if gaps[0] < -DEFAULT_TOLS.tol_num:
             violations.append(
                 Violation(
                     "zero-slope-class",
@@ -286,7 +280,7 @@ def validate(
                     f"f'({xs[0]:.3g}) = {head[0]:.6g} is below the declared limit {f.slope_at_zero:.6g}",
                 )
             )
-        if np.any(np.diff(gaps) < -tols.tol_num):
+        if np.any(np.diff(gaps) < -DEFAULT_TOLS.tol_num):
             violations.append(
                 Violation(
                     "zero-slope-class",

@@ -41,10 +41,16 @@ def hermitian_part(matrix: np.ndarray) -> np.ndarray:
     return (matrix + matrix.conj().swapaxes(-1, -2)) / 2
 
 
-def _reject_non_finite(matrix: np.ndarray) -> None:
-    """``ValidationError`` naming NaN or inf entries, run before gates that read ``deviation > tol``."""
+def _finite_square(matrix: np.ndarray) -> np.ndarray:
+    """``matrix`` as a complex array; ``ValidationError`` unless it is square, of
+    dimension >= 1, with finite entries (run before gates that read ``deviation > tol``)."""
+    matrix = np.asarray(matrix, dtype=complex)
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        raise ValidationError(f"expected a square matrix, got shape {matrix.shape}")
+    if matrix.shape[0] < 1:
+        raise ValidationError("matrix dimension must be at least 1")
     if np.isfinite(matrix).all():
-        return
+        return matrix
     bad = np.argwhere(~np.isfinite(matrix))
     named = ", ".join(f"[{i}, {j}] = {matrix[i, j]}" for i, j in bad[:3])
     more = f" and {len(bad) - 3} more" if len(bad) > 3 else ""
@@ -57,12 +63,7 @@ def validate_hermitian(matrix: np.ndarray, tol_herm: float = DEFAULT_TOLS.tol_he
     Inputs within tolerance are symmetrized (tolerates file-format rounding);
     anything further from Hermitian is rejected rather than silently accepted.
     """
-    matrix = np.asarray(matrix, dtype=complex)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValidationError(f"expected a square matrix, got shape {matrix.shape}")
-    if matrix.shape[0] < 1:
-        raise ValidationError("matrix dimension must be at least 1")
-    _reject_non_finite(matrix)
+    matrix = _finite_square(matrix)
     deviation = float(np.max(np.abs(matrix - matrix.conj().T)))
     if deviation > tol_herm:
         raise ValidationError(
@@ -237,9 +238,9 @@ class DensityState:
         return RankOneProjection.from_vector(vector * vector[np.argmax(np.abs(vector))].conj())
 
 
-def density_state(matrix: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> DensityState:
+def density_state(matrix: np.ndarray) -> DensityState:
     """Shorthand for DensityState.from_matrix."""
-    return DensityState.from_matrix(matrix, tols)
+    return DensityState.from_matrix(matrix)
 
 
 @dataclass(frozen=True)
@@ -255,10 +256,10 @@ class RankOneProjection:
     source_matrix: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @classmethod
-    def from_vector(cls, vector: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> "RankOneProjection":
+    def from_vector(cls, vector: np.ndarray) -> "RankOneProjection":
         vector = np.asarray(vector, dtype=complex).reshape(-1)
         norm = float(np.linalg.norm(vector))
-        if norm < tols.tol_num:
+        if norm < DEFAULT_TOLS.tol_num:
             raise ValidationError("cannot build a rank-one projection from the zero vector")
         return cls(vector=vector / norm)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .hermitian import (
     DensityState,
     RankOneProjection,
     SpectralDecomposition,
-    _reject_non_finite,
+    _finite_square,
     hermitian_part,
     transition_probability,
 )
@@ -46,7 +46,7 @@ __all__ = [
     "transpose_oracle",
     "depolarizing_oracle",
     "diagonal_oracle",
-    "TransitionTable",
+    "transition_table",
     "transition_from_bregman",
     "transition_from_jensen",
     "transition_from_bregman_rank_two",
@@ -58,7 +58,6 @@ __all__ = [
     "probe_labels",
     "wigner_probes",
     "wigner_reconstruct",
-    "max_probe_residual",
     "probe_transitions_via_divergence",
     "PreserverVerification",
     "verify_preserver",
@@ -70,6 +69,7 @@ WIGNER_TOL = 1e-6  # admissible change of a probe-pair transition probability
 RECONSTRUCT_TOL = 1e-8  # admissible max-entry miss of a reconstructed probe image
 DIVERGENCE_TOL = 1e-8  # admissible divergence deviation and residual in verify_preserver
 PURE_MARGIN = 1e-3  # admissible gap between M(X) and the pure reference value
+PROBE_LAM = 0.25  # weight of P in the rank-two mixture lam P + (1 - lam) Q that probes infinite f'(0)
 
 
 # ---------------------------------------------------------------------------
@@ -93,10 +93,7 @@ class SymmetryOp:
     def from_matrix(
         cls, matrix: np.ndarray, antiunitary: bool = False, tols: Tolerances = DEFAULT_TOLS
     ) -> "SymmetryOp":
-        matrix = np.asarray(matrix, dtype=complex)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise ValidationError(f"expected a square matrix, got shape {matrix.shape}")
-        _reject_non_finite(matrix)
+        matrix = _finite_square(matrix)
         gram = matrix @ matrix.conj().T
         deviation = float(np.max(np.abs(gram - np.eye(matrix.shape[0]))))
         if deviation > tols.tol_num:
@@ -332,22 +329,6 @@ def recover_rank_two_spectrum(f: GeneratorFunction, delta: float) -> float:
 # Max-divergence functional and purity detection
 
 
-def _pure_divergence_values(
-    f: NormalizedGenerator, x: DensityState, candidates: np.ndarray
-) -> np.ndarray:
-    """H_f(X, |v><v|) for unit columns v of ``candidates`` (finite f'(0) only).
-
-    A pure second argument has spectrum {1, 0}, so the double sum collapses to
-    a function that is linear in the overlaps p_k = |<u_k, v>|^2 with the
-    eigenvectors u_k of X.
-    """
-    a = x.spectral.w[:, None]
-    overlaps = np.abs(x.spectral.v.conj().T @ candidates) ** 2
-    term_img = f.values(a) - f.slope(1.0) * (a - 1.0)  # weight on the image line
-    term_ker = f.values(a) - f.slope_at_zero * a  # weight on the kernel of |v><v|
-    return np.sum(term_img * overlaps + term_ker * (1.0 - overlaps), axis=0)
-
-
 def max_divergence_functional(f: GeneratorFunction, x: DensityState) -> float:
     """Lower bound on M(X) = max over states D of H_f(X, D): the maximum over pure D.
 
@@ -355,14 +336,19 @@ def max_divergence_functional(f: GeneratorFunction, x: DensityState) -> float:
     +inf as soon as X is not full-rank).  H_f(X, .) restricted to pure states
     is linear in the overlap vector (p_k) = (|<u_k, v>|^2), a point of the
     probability simplex, so its maximum sits at a vertex: the largest value
-    over the eigenvectors u_k of X.
+    over the eigenvectors u_k of X.  (A pure second argument has spectrum
+    {1, 0}, so the double sum collapses to that linear function.)
     """
     f = normalize(f)
     if not f.finite_zero_slope:
         raise ParameterError(
             f"generator {f.name!r} has f'(0+) = -inf; M(X) is infinite off full rank"
         )
-    return float(np.max(_pure_divergence_values(f, x, x.spectral.v)))
+    a = x.spectral.w[:, None]
+    overlaps = np.abs(x.spectral.v.conj().T @ x.spectral.v) ** 2
+    term_img = f.values(a) - f.slope(1.0) * (a - 1.0)  # weight on the image line
+    term_ker = f.values(a) - f.slope_at_zero * a  # weight on the kernel of |v><v|
+    return float(np.max(np.sum(term_img * overlaps + term_ker * (1.0 - overlaps), axis=0)))
 
 
 def pure_reference_value(f: GeneratorFunction, dim: int) -> float:
@@ -443,7 +429,7 @@ def _wigner_fit(
     wigner_tol: float = WIGNER_TOL,
     tols: Tolerances = DEFAULT_TOLS,
 ) -> tuple[SymmetryOp, float]:
-    """``wigner_reconstruct`` together with the ``max_probe_residual`` it checked.
+    """``wigner_reconstruct`` together with the probe residual it checked.
 
     ``probes`` is ``wigner_probes(dim)`` when the caller has built it already.
     """
@@ -461,7 +447,7 @@ def _wigner_fit(
     if probes is None:
         probes = wigner_probes(dim)
 
-    want, got = _gram(probes), _gram(images)
+    want, got = transition_table(probes), transition_table(images)
     offending = np.argwhere(np.triu(np.abs(want - got) > wigner_tol, 1))
     if len(offending):
         a, b = offending[0]  # row-major: the first pair in (a, b > a) loop order
@@ -517,14 +503,10 @@ def _wigner_fit(
     return op, residual
 
 
-def max_probe_residual(op: SymmetryOp, images: Sequence[RankOneProjection]) -> float:
-    """Max-entry deviation between op-applied probes and the given images."""
-    return _probe_residual(op, wigner_probes(op.dim), images)
-
-
 def _probe_residual(
     op: SymmetryOp, probes: Sequence[RankOneProjection], images: Sequence[RankOneProjection]
 ) -> float:
+    """Max-entry deviation between op-applied probes and the given images."""
     if len(images) != len(probes):
         raise ParameterError(f"expected {len(probes)} probe images, got {len(images)}")
     # np.max, not the builtin: max(0.0, nan) drops a NaN that must fail the fit.
@@ -538,40 +520,11 @@ def _probe_residual(
 # Transition tables
 
 
-@dataclass(frozen=True)
-class TransitionTable:
-    """Pairwise transition probabilities tr(P_i Q_j) of two projection families."""
+def transition_table(family: Sequence[RankOneProjection]) -> np.ndarray:
+    """The pairwise transition probabilities G[a, b] = tr(P_a P_b) of a projection family.
 
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 2:
-            raise ValidationError("transition table must be a matrix")
-        if float(values.min()) < -DEFAULT_TOLS.tol_num or float(values.max()) > 1.0 + DEFAULT_TOLS.tol_num:
-            raise ValidationError("transition probabilities must lie in [0, 1]")
-        object.__setattr__(self, "values", np.clip(values, 0.0, 1.0))
-
-    def max_deviation(self, other: "TransitionTable") -> float:
-        if self.values.shape != other.values.shape:
-            raise DimensionMismatchError("transition tables have different shapes")
-        return float(np.max(np.abs(self.values - other.values)))
-
-    def is_doubly_stochastic(self, tol: float = DEFAULT_TOLS.tol_num) -> bool:
-        """Rows and columns sum to 1; holds when both families are complete bases."""
-        rows = self.values.sum(axis=1)
-        cols = self.values.sum(axis=0)
-        return bool(np.max(np.abs(rows - 1.0)) <= tol and np.max(np.abs(cols - 1.0)) <= tol)
-
-    @classmethod
-    def direct(cls, family: Sequence[RankOneProjection]) -> "TransitionTable":
-        return cls(values=_gram(family))
-
-
-def _gram(family: Sequence[RankOneProjection]) -> np.ndarray:
-    """G = |Phi* Phi|^2 for the family's vectors stacked into Phi: G[a, b] = tr(P_a P_b).
-
-    One matrix product; entries are clamped to 1 and the diagonal is exactly 1.
+    G = |Phi* Phi|^2 for the family's vectors stacked into Phi: one matrix
+    product; entries lie in [0, 1] and the diagonal is exactly 1.
     """
     dims = sorted({p.dim for p in family})
     if len(dims) > 1:
@@ -601,22 +554,21 @@ def rank_two_mixture(
     return DensityState.from_orthonormal([1.0 - lam, lam], [q.vector, p.vector])
 
 
-def _pair_divergences(
-    f: NormalizedGenerator, p: np.ndarray, kind: str, lam: float, tols: Tolerances
-) -> np.ndarray:
+def _pair_divergences(f: NormalizedGenerator, p: np.ndarray, kind: str, tols: Tolerances) -> np.ndarray:
     """Divergence values of pure pairs with transition probabilities ``p``, from closed forms.
 
     * Jensen: ``jensen_rank_one``.
     * Bregman, finite f'(0): (1 - p)(f'(1) - f'(0)), and 0 where
       1 - p < tol_num, as in ``bregman_rank_one_pair``.
-    * Bregman, infinite f'(0): H_f(R, lam P + mu Q) = -f'(lam) p - f'(mu)(1 - p) + c,
-      as in ``bregman_rank_one_vs_rank_two``, with Q the orthocomplement of P
-      inside span(R, P), so that tr RP = p and tr RQ = 1 - p.
+    * Bregman, infinite f'(0): H_f(R, lam P + mu Q) = -f'(lam) p - f'(mu)(1 - p) + c
+      with lam = PROBE_LAM, as in ``bregman_rank_one_vs_rank_two``, with Q the
+      orthocomplement of P inside span(R, P), so that tr RP = p and tr RQ = 1 - p.
     """
     if kind == "jensen":
         return jensen_rank_one(f, p, tols=tols)
     if f.finite_zero_slope:
         return np.where(1.0 - p < tols.tol_num, 0.0, (1.0 - p) * (f.slope(1.0) - f.slope_at_zero))
+    lam = PROBE_LAM
     return -f.slope(lam) * p - f.slope(1.0 - lam) * (1.0 - p) + rank_two_offset(f, lam)
 
 
@@ -625,9 +577,8 @@ def probe_transitions_via_divergence(
     family: Sequence[RankOneProjection],
     kind: str,
     *,
-    lam: float = 0.25,
     tols: Tolerances = DEFAULT_TOLS,
-) -> TransitionTable:
+) -> np.ndarray:
     """Recover the pairwise transition table of a projection family from
     divergence values alone.
 
@@ -639,25 +590,26 @@ def probe_transitions_via_divergence(
     Jensen values inverted by one array bisection; rank-one
     Bregman values inverted linearly (finite f'(0)); for infinite f'(0) each
     pair (R, P) is probed against the rank-two mixture lam P + (1 - lam) Q,
-    with Q the orthocomplement of P inside span(R, P) -- rank-one Bregman
-    values are 0/inf there and carry no transition information.  A pair with
+    lam = ``PROBE_LAM``, with Q the orthocomplement of P inside span(R, P) --
+    rank-one Bregman values are 0/inf there and carry no transition information.  A pair with
     1 - tr RP < tol_num has no such Q and is taken as transition 1.
     """
     f = normalize(f)
     if kind not in ("bregman", "jensen"):
         raise ParameterError(f"kind must be 'bregman' or 'jensen', got {kind!r}")
     rows, cols = np.triu_indices(len(family), 1)
-    p = _gram(family)[rows, cols]
-    values = _pair_divergences(f, p, kind, lam, tols)
+    p = transition_table(family)[rows, cols]
+    values = _pair_divergences(f, p, kind, tols)
     if kind == "jensen":
         t = transition_from_jensen(f, values, tols=tols)
     elif f.finite_zero_slope:
         t = transition_from_bregman(f, values, tols=tols)
     else:
-        t = np.where(1.0 - p < tols.tol_num, 1.0, transition_from_bregman_rank_two(f, lam, values, tols=tols))
+        recovered = transition_from_bregman_rank_two(f, PROBE_LAM, values, tols=tols)
+        t = np.where(1.0 - p < tols.tol_num, 1.0, recovered)
     table = np.eye(len(family))
     table[rows, cols] = table[cols, rows] = t
-    return TransitionTable(values=table)
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -688,14 +640,14 @@ class PreserverVerification:
     dim: int
     seed: int
     sample_size: int
-    divergence_tol: float
-    wigner_tol: float
     max_divergence_deviation: float
     probe_images_rank_one: bool
     symmetry: SymmetryOp | None
     reconstruction_error: str | None
     max_probe_residual: float
     max_state_residual: float
+    divergence_tol: ClassVar[float] = DIVERGENCE_TOL
+    wigner_tol: ClassVar[float] = WIGNER_TOL
 
     @property
     def divergence_preserved(self) -> bool:
@@ -826,8 +778,6 @@ def verify_preserver(
         dim=dim,
         seed=seed,
         sample_size=sample_size,
-        divergence_tol=DIVERGENCE_TOL,
-        wigner_tol=WIGNER_TOL,
         max_divergence_deviation=max_div_dev,
         probe_images_rank_one=images_rank_one,
         symmetry=symmetry,

@@ -29,6 +29,7 @@ from .bregman import (
 )
 from .config import DEFAULT_TOLS, Tolerances
 from .errors import ParameterError
+from .files import json_value
 from .generators import NormalizedGenerator, parse_generator
 from .hermitian import DensityState, RankOneProjection, transition_probability
 from .jensen import _jensen_pairs, jensen_max_constant, jensen_rank_one, jensen_via_bregman
@@ -45,7 +46,7 @@ from .preserver import (
     wigner_probes,
     wigner_reconstruct,
     SymmetryOp,
-    TransitionTable,
+    transition_table,
 )
 from .sampling import _random_states, haar_unitary, random_pure, random_state, rng_for
 
@@ -64,17 +65,11 @@ class CheckResult:
     detail: str = ""
 
     def to_dict(self) -> dict:
-        def safe(v: float | None) -> "float | str | None":
-            if v is None:
-                return None
-            v = float(v)
-            return "inf" if math.isinf(v) else v
-
         return {
             "name": self.name,
             "passed": bool(self.passed),
-            "deviation": safe(self.deviation),
-            "tolerance": safe(self.tolerance),
+            "deviation": None if self.deviation is None else json_value(self.deviation),
+            "tolerance": None if self.tolerance is None else json_value(self.tolerance),
             "detail": self.detail,
         }
 
@@ -94,8 +89,8 @@ class RunReport:
     def passed(self) -> bool:
         return all(bool(c.passed) for c in self.checks)
 
-    def to_dict(self, include_timing: bool = False) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "command": self.command,
             "suite": self.suite,
             "seed": self.seed,
@@ -105,17 +100,14 @@ class RunReport:
             "checks": [c.to_dict() for c in self.checks],
             "passed": self.passed,
         }
-        if include_timing:
-            out["wall_time_s"] = self.wall_time_s
-        return out
 
-    def to_json(self, include_timing: bool = False) -> str:
-        return json.dumps(self.to_dict(include_timing), indent=2)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
 
-def _pairs(dim: int, count: int, rng, *, floor: float = 1e-3):
+def _pairs(dim: int, count: int, rng):
     """``count`` pairs of random states, drawn as consecutive states of one call: (xs, ys)."""
-    states = _random_states(2 * count, dim, rng=rng, eigenvalue_floor=floor)
+    states = _random_states(2 * count, dim, rng=rng, eigenvalue_floor=1e-3)
     return states[0::2], states[1::2]
 
 
@@ -224,7 +216,7 @@ def _suite_preserver(
 ) -> None:
     lam_grid = np.linspace(0.02, 0.48, 12)
     probes = wigner_probes(max(dims))
-    direct = TransitionTable.direct(probes)
+    direct = transition_table(probes)
 
     devs = {label: defaultdict(list) for label in generators}
     for dim in dims:
@@ -240,7 +232,8 @@ def _suite_preserver(
                 devs[label]["b"] += np.abs(transition_from_bregman(gen, h_vals, tols=tols) - truth).tolist()
     for label, gen in generators.items():
         found = devs[label]
-        recovery = probe_transitions_via_divergence(gen, probes, "bregman", tols=tols).max_deviation(direct)
+        recovered = probe_transitions_via_divergence(gen, probes, "bregman", tols=tols)
+        recovery = float(np.max(np.abs(recovered - direct)))
         devs_spec = []
         for lam in lam_grid:
             delta = gen.slope(1.0 - lam) - gen.slope(lam)
@@ -385,6 +378,8 @@ def run_suite(
     """Run a named suite and return its deterministic report."""
     if name not in SUITE_NAMES:
         raise ParameterError(f"unknown suite {name!r}; available: {', '.join(SUITE_NAMES)}")
+    if not dims or not generator_specs:
+        raise ParameterError("a suite needs at least one dimension and at least one generator")
     if any(d < 2 for d in dims):
         raise ParameterError("suite dimensions must be >= 2")
     generators = {spec: parse_generator(spec) for spec in generator_specs}

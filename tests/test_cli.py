@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -8,7 +9,8 @@ import numpy as np
 import pytest
 
 from statediv import DensityState, PreserverOracle, SpectralDecomposition, density_state, rng_for
-from statediv.cli import main
+from statediv import Tolerances
+from statediv.cli import _parser, _resolve_tols, main
 from statediv.files import read_state, read_symmetry, read_table, write_state
 
 RUN = [sys.executable, "-m", "statediv"]
@@ -156,6 +158,16 @@ class TestTable:
         assert cli("table", "--kind", "jensen", "--f", "xlogx", e1, e2, "-o", out).returncode == 0
         table = read_table(out)
         assert all(np.isfinite(v) for row in table.values for v in row)
+
+    def test_stdout_equals_the_output_file(self, tmp_path, basis_states, capsys):
+        e1, e2 = basis_states
+        out = tmp_path / "t.json"
+        args = ["table", "--kind", "bregman", "--f", "xlogx", str(e1), str(e2)]
+        assert main(args) == 0
+        stdout = capsys.readouterr().out
+        assert main(args + ["-o", str(out)]) == 0
+        assert '"inf"' in stdout
+        assert stdout == out.read_text(encoding="utf-8")
 
     def test_jobs_flag_is_usage_error(self, tmp_path, basis_states):
         e1, e2 = basis_states
@@ -369,6 +381,11 @@ class TestInProcessReuse:
 
 
 class TestToleranceFlags:
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(Tolerances)])
+    def test_every_tolerance_has_a_flag(self, field):
+        args = _parser().parse_args(["suite", "all", f"--{field.replace('_', '-')}", "0.125"])
+        assert getattr(_resolve_tols(args), field) == 0.125
+
     def test_env_override_is_honored(self, tmp_path, basis_states):
         import os
 

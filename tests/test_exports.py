@@ -1,9 +1,13 @@
-"""Every name a module exports through ``__all__`` exists, so a stale export fails here,
-and every function reads each of its parameters, so a dead option fails here too."""
+"""Every name a module exports through ``__all__`` exists, so a stale export fails here;
+every function reads each of its parameters, and every defaulted parameter is set by
+some call, so a dead option fails here too."""
 
 import ast
+import functools
 import importlib
+import math
 import pkgutil
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -54,3 +58,85 @@ def test_unread_parameter_is_flagged():
 def test_every_parameter_is_read(name):
     path = Path(importlib.import_module(name).__file__)
     assert _unread_parameters(path.read_text(encoding="utf-8")) == []
+
+
+ROOT = Path(__file__).resolve().parents[1]
+CALLER_DIRS = ("src", "tests", "bench")
+
+
+def _calls_by_name(sources) -> dict[str | None, list[tuple[float, set[str | None]]]]:
+    """Per called name, each call's positional argument count and keyword names.
+
+    A call with ``*args`` counts as passing every position, and one with
+    ``**kwargs`` holds the keyword name None, which counts as passing every keyword.
+    """
+    calls = defaultdict(list)
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                name = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                calls[name].append((math.inf if starred else len(node.args), {k.arg for k in node.keywords}))
+    return calls
+
+
+def _unset_defaults(source: str, calls) -> list[str]:
+    """``Class.function.parameter`` for each defaulted parameter of a function in
+    ``source`` that no call in ``calls`` passes, by keyword or by position.
+
+    Calls match a function by its name alone, whatever object they are made on.
+    So where two functions share a name (``to_dict``, ``from_matrix``), a call of
+    one counts for the other: a dead default may be missed, but a live one is
+    never flagged.  Tests count as setters: a parameter only a test sets is how
+    that test reaches a branch.
+    """
+    unset = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                positional = [a.arg for a in args.posonlyargs + args.args]
+                if positional[:1] in (["self"], ["cls"]):
+                    positional = positional[1:]
+                first = len(positional) - len(args.defaults)
+                defaulted = [(name, i) for i, name in enumerate(positional) if i >= first]
+                defaulted += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+                for name, index in defaulted:
+                    if not any(
+                        name in keywords or None in keywords or (index is not None and count > index)
+                        for count, keywords in calls[child.name]
+                    ):
+                        unset.append(f"{prefix}{child.name}.{name}")
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{prefix}{child.name}.")
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(source), "")
+    return unset
+
+
+@functools.cache
+def _repo_calls():
+    paths = sorted(p for d in CALLER_DIRS for p in (ROOT / d).rglob("*.py"))
+    return _calls_by_name(p.read_text(encoding="utf-8") for p in paths)
+
+
+def test_unset_default_is_flagged():
+    source = (
+        "class C:\n"
+        "    def m(self, a, b=1, *, c=2):\n"
+        "        return a + b + c\n"
+        "def f(x, lam=0.25, tols=None):\n"
+        "    return x\n"
+    )
+    callers = ["C().m(0, 1)\nf(0, tols=1)\nf(*xs)\n", "g(**kw)\n"]
+    assert _unset_defaults(source, _calls_by_name(callers)) == ["C.m.c"]
+    assert _unset_defaults(source, _calls_by_name(["C().m(0, c=3)\n"])) == ["C.m.b", "f.lam", "f.tols"]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_default_is_set_somewhere(name):
+    path = Path(importlib.import_module(name).__file__)
+    assert _unset_defaults(path.read_text(encoding="utf-8"), _repo_calls()) == []

@@ -25,7 +25,6 @@ from statediv import (
     conjugation_oracle,
     depolarizing_oracle,
     haar_unitary,
-    max_probe_residual,
     parse_generator,
     random_state,
     rng_for,
@@ -34,6 +33,7 @@ from statediv import (
     wigner_probes,
 )
 from statediv import hermitian, sampling
+from statediv.preserver import _probe_residual
 
 EPS, CT = DEFAULT_TOLS.eps_supp, DEFAULT_TOLS.cluster_tol
 ROUTES = [("bregman", "xlogx"), ("bregman", "quadratic"), ("jensen", "quadratic")]
@@ -217,7 +217,7 @@ class TestResidualReuse:
         oracle = conjugation_oracle(op)
         outcome = verify_preserver(parse_generator("quadratic"), oracle, "bregman", sample_size=4)
         images = [oracle(p.to_state()).as_rank_one() for p in wigner_probes(4)]
-        assert outcome.max_probe_residual == max_probe_residual(outcome.symmetry, images)
+        assert outcome.max_probe_residual == _probe_residual(outcome.symmetry, wigner_probes(4), images)
 
 
 def test_importing_the_package_leaves_scipy_unloaded():

@@ -19,7 +19,6 @@ from statediv import (
     RankOneProjection,
     SpectralDecomposition,
     SymmetryOp,
-    TransitionTable,
     ValidationError,
     bregman,
     bregman_rank_one_pair,
@@ -33,7 +32,6 @@ from statediv import (
     jensen_max_constant,
     jensen_rank_one,
     max_divergence_functional,
-    max_probe_residual,
     normalize,
     parse_generator,
     probe_labels,
@@ -51,13 +49,14 @@ from statediv import (
     transition_from_bregman_rank_two,
     transition_from_jensen,
     transition_probability,
+    transition_table,
     transpose_oracle,
     verify_preserver,
     wigner_probes,
     wigner_reconstruct,
 )
 from statediv import preserver
-from statediv.preserver import _gram, _pair_divergences
+from statediv.preserver import PROBE_LAM, _pair_divergences, _probe_residual
 from conftest import mixed_state_with_gap, orthogonal_pure_pair
 
 XLOGX = std_entropy()
@@ -335,9 +334,9 @@ class TestWignerProbes:
             wigner_probes(1)
 
     def test_transition_table_of_basis_part_is_doubly_stochastic(self):
-        probes = wigner_probes(4)[:4]
-        table = TransitionTable.direct(probes)
-        assert table.is_doubly_stochastic()
+        table = transition_table(wigner_probes(4)[:4])
+        assert np.max(np.abs(table.sum(axis=1) - 1.0)) <= DEFAULT_TOLS.tol_num
+        assert np.max(np.abs(table.sum(axis=0) - 1.0)) <= DEFAULT_TOLS.tol_num
 
 
 class TestWignerReconstruct:
@@ -399,7 +398,7 @@ class TestWignerReconstruct:
         matrix = images[2].matrix.copy()
         matrix[1, 1] = math.nan
         images[2] = RankOneProjection(vector=images[2].vector, source_matrix=matrix)
-        assert math.isnan(max_probe_residual(source, images))
+        assert math.isnan(_probe_residual(source, wigner_probes(3), images))
         with pytest.raises(NotAPreserverError, match="misses the probe images by nan"):
             wigner_reconstruct(images)
 
@@ -442,18 +441,18 @@ class TestTransitionsViaDivergence:
     @pytest.mark.parametrize("kind", ["bregman", "jensen"])
     def test_recovers_direct_table(self, f, kind):
         probes = wigner_probes(3)
-        direct = TransitionTable.direct(probes)
+        direct = transition_table(probes)
         recovered = probe_transitions_via_divergence(f, probes, kind)
-        assert recovered.max_deviation(direct) < 1e-6
+        assert np.max(np.abs(recovered - direct)) < 1e-6
 
     @pytest.mark.parametrize("f", ALL_GENERATORS, ids=lambda f: f.name)
     @pytest.mark.parametrize("kind", ["bregman", "jensen"])
     @pytest.mark.parametrize("dim", [8, 16])
     def test_recovers_direct_table_at_larger_dim(self, f, kind, dim):
         probes = wigner_probes(dim)
-        direct = TransitionTable.direct(probes)
+        direct = transition_table(probes)
         recovered = probe_transitions_via_divergence(f, probes, kind)
-        assert recovered.max_deviation(direct) < 1e-6
+        assert np.max(np.abs(recovered - direct)) < 1e-6
 
     @pytest.mark.parametrize("f", ALL_GENERATORS, ids=lambda f: f.name)
     def test_near_identical_pair_is_transition_one(self, f):
@@ -465,7 +464,7 @@ class TestTransitionsViaDivergence:
             RankOneProjection.from_vector([math.cos(angle), math.sin(angle)]),
         ]
         recovered = probe_transitions_via_divergence(f, family, "bregman")
-        assert recovered.values[0, 1] == 1.0
+        assert recovered[0, 1] == 1.0
 
     @pytest.mark.parametrize("f", ALL_GENERATORS, ids=lambda f: f.name)
     @pytest.mark.parametrize("dim", [3, 8, 16])
@@ -473,8 +472,8 @@ class TestTransitionsViaDivergence:
         # images of the probes under a random antiunitary: transitions off the dyadic grid
         op = SymmetryOp(matrix=haar_unitary(dim, rng_for(260 + dim)), antiunitary=True)
         images = [op.apply_projection(p) for p in wigner_probes(dim)]
-        recovered = probe_transitions_via_divergence(f, images, "jensen").values
-        gram = _gram(images)
+        recovered = probe_transitions_via_divergence(f, images, "jensen")
+        gram = transition_table(images)
         for a, b in zip(*np.triu_indices(len(images), 1)):
             expected = transition_from_jensen(f, jensen_rank_one(f, float(gram[a, b])))
             assert recovered[a, b] == recovered[b, a] == expected
@@ -484,9 +483,9 @@ class TestTransitionsViaDivergence:
         # still match, which exercises the mixture device.
         rng = rng_for(211)
         family = [random_pure(3, rng) for _ in range(4)]
-        direct = TransitionTable.direct(family)
+        direct = transition_table(family)
         recovered = probe_transitions_via_divergence(XLOGX, family, "bregman")
-        assert recovered.max_deviation(direct) < 1e-8
+        assert np.max(np.abs(recovered - direct)) < 1e-8
 
 
 def _family(name, dim):
@@ -504,11 +503,11 @@ class TestClosedFormPairValues:
     @pytest.mark.parametrize("family", ["probes", "random"])
     @pytest.mark.parametrize("dim", [3, 8, 16])
     def test_matches_general_routine(self, f, kind, family, dim):
-        lam = 0.25
+        lam = PROBE_LAM
         probes = _family(family, dim)
         rows, cols = np.triu_indices(len(probes), 1)
-        p = _gram(probes)[rows, cols]
-        closed = _pair_divergences(normalize(f), p, kind, lam, DEFAULT_TOLS)
+        p = transition_table(probes)[rows, cols]
+        closed = _pair_divergences(normalize(f), p, kind, DEFAULT_TOLS)
         checked = 0
         for a, b, value in zip(rows, cols, closed):
             r, q = probes[a], probes[b]
@@ -528,7 +527,7 @@ class TestClosedFormPairValues:
 
     def test_gram_matches_transition_probability(self):
         probes = _family("random", 5)
-        gram = _gram(probes)
+        gram = transition_table(probes)
         for a, p in enumerate(probes):
             for b, q in enumerate(probes):
                 want = 1.0 if a == b else transition_probability(p, q)
@@ -536,7 +535,7 @@ class TestClosedFormPairValues:
 
     def test_gram_rejects_mixed_dimensions(self):
         with pytest.raises(DimensionMismatchError):
-            TransitionTable.direct(wigner_probes(2) + wigner_probes(3))
+            transition_table(wigner_probes(2) + wigner_probes(3))
 
 
 class TestVerifyPreserver:
@@ -760,6 +759,10 @@ class TestOracles:
         rng = rng_for(232)
         op = SymmetryOp.from_matrix(haar_unitary(3, rng), antiunitary=True)
         assert op.antiunitary
+
+    def test_symmetry_op_rejects_an_empty_matrix(self):
+        with pytest.raises(ValidationError, match="dimension must be at least 1"):
+            SymmetryOp.from_matrix(np.zeros((0, 0)))
 
     def test_symmetry_op_rejects_non_finite_entry(self):
         with pytest.raises(ValidationError, match=r"non-finite entries: \[1, 1\]"):

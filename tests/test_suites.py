@@ -3,13 +3,14 @@ generator and scored with one stacked call per generator; a NaN fails its check.
 
 import dataclasses
 import hashlib
+import json
 import math
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from statediv import suites
+from statediv import ParameterError, suites
 from statediv.suites import DEFAULT_GENERATORS, run_suite
 
 # SHA-256 of run_suite(...).to_json(), taken when every suite still drew its
@@ -132,3 +133,24 @@ def test_nan_margin_on_a_later_non_preserver_fails(monkeypatch):
     assert not rejected.passed
     assert math.isnan(rejected.deviation)
     assert not report.passed
+
+
+@pytest.mark.parametrize("name", suites.SUITE_NAMES)
+@pytest.mark.parametrize("empty", ["dims", "generator_specs"])
+def test_empty_inputs_are_rejected(name, empty):
+    with pytest.raises(ParameterError, match="at least one"):
+        run_suite(name, **{empty: ()})
+
+
+def test_non_finite_deviations_serialize_as_strict_json():
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    report = suites.RunReport("", "convexity", 0, (2,), ("quadratic",), {})
+    report.checks += [
+        suites.CheckResult("nan", False, math.nan, 1e-8),
+        suites.CheckResult("below", True, -math.inf, 0.0),
+        suites.CheckResult("above", False, math.inf, 1e-9),
+    ]
+    checks = json.loads(report.to_json(), parse_constant=reject)["checks"]
+    assert [check["deviation"] for check in checks] == ["nan", "-inf", "inf"]
