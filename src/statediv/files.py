@@ -103,8 +103,9 @@ def write_json(path: "str | Path | None", obj: dict) -> None:
     text = json.dumps(obj, indent=2) + "\n"
     if path is None:
         sys.stdout.write(text)
-    else:
-        Path(path).write_text(text, encoding="utf-8")
+        return
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text)
 
 
 def _read_dim(obj: dict, path: "str | Path") -> int:

@@ -8,8 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from statediv import DensityState, PreserverOracle, SpectralDecomposition, density_state, rng_for
-from statediv import Tolerances
+from statediv import DensityState, PreserverOracle, SpectralDecomposition, Tolerances, density_state, rng_for
 from statediv.cli import _parser, _resolve_tols, main
 from statediv.files import read_state, read_symmetry, read_table, write_state
 
