@@ -302,9 +302,8 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _parser().parse_args(argv)
     args.argv = argv  # the suite report records the command it ran
-    tols = _resolve_tols(args)
     try:
-        return _COMMANDS[args.command](args, tols)
+        return _COMMANDS[args.command](args, _resolve_tols(args))
     except StateDivError as exc:
         for types, code in _ERROR_CODES:
             if isinstance(exc, types):

@@ -8,8 +8,11 @@ from the degeneracy width (``cluster_tol``) that the pure-state test reads.
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 from dataclasses import dataclass
+
+from .errors import ParameterError
 
 ENV_PREFIX = "STATEDIV_"
 
@@ -26,6 +29,8 @@ class Tolerances:
     eps_supp    -- eigenvalues below this count as exactly 0 for support
     cluster_tol -- a state is pure only if no other eigenvalue of its leading
                    eigenvalue's sign lies less than this below it
+
+    Each must be finite and >= 0 (``ParameterError`` otherwise).
     """
 
     tol_herm: float = 1e-9
@@ -34,6 +39,12 @@ class Tolerances:
     tol_num: float = 1e-9
     eps_supp: float = 1e-10
     cluster_tol: float = 1e-8
+
+    def __post_init__(self) -> None:
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ParameterError(f"tolerance {field.name} must be finite and >= 0, got {value!r}")
 
     def replace(self, **kwargs: float) -> "Tolerances":
         return dataclasses.replace(self, **kwargs)
@@ -51,11 +62,16 @@ def tolerances_from_env() -> Tolerances:
     Recognized names: STATEDIV_TOL_HERM, STATEDIV_TOL_PSD, STATEDIV_TOL_TRACE,
     STATEDIV_TOL_NUM, STATEDIV_EPS_SUPP, STATEDIV_CLUSTER_TOL.  Unset names
     fall back to the defaults; explicit --tol-* CLI flags take precedence over
-    the environment.
+    the environment.  A value that is not a number raises ``ParameterError``
+    naming its variable.
     """
     overrides: dict[str, float] = {}
     for field in dataclasses.fields(Tolerances):
-        raw = os.environ.get(ENV_PREFIX + field.name.upper())
+        name = ENV_PREFIX + field.name.upper()
+        raw = os.environ.get(name)
         if raw is not None:
-            overrides[field.name] = float(raw)
+            try:
+                overrides[field.name] = float(raw)
+            except ValueError:
+                raise ParameterError(f"{name} is not a number: {raw!r}") from None
     return Tolerances(**overrides)

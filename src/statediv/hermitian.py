@@ -161,19 +161,47 @@ def _as_decomposition(
     return decompose(matrix, tols=tols)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DensityState:
     """A density operator: Hermitian, positive semidefinite, unit trace.
 
-    The spectral decomposition is fixed at construction: ``from_matrix`` runs
-    one ``eigh``, while ``from_orthonormal`` and the constructors that know a
-    state's spectrum already (``random_state``, conjugation and transpose
-    images) attach it without one.  Eigenvalues below ``eps_supp`` are exactly
-    0 for all support decisions.
+    The spectral decomposition ``(w, V)`` is fixed at construction:
+    ``from_matrix`` runs one ``eigh``, while ``from_orthonormal`` and the
+    constructors that know a state's spectrum already (``random_state``,
+    conjugation and transpose images) attach it without one.  Eigenvalues
+    below ``eps_supp`` are exactly 0 for all support decisions.
+
+    ``matrix`` is given at construction or, for ``from_orthonormal`` and the
+    conjugation and transpose images, built when first read; until then such
+    a state holds what it is built from (for an image, its source state).
     """
 
-    matrix: np.ndarray
     spectral: SpectralDecomposition = field(repr=False)
+
+    def __init__(self, matrix: np.ndarray, spectral: SpectralDecomposition) -> None:
+        object.__setattr__(self, "spectral", spectral)
+        self.__dict__["matrix"] = matrix  # where ``matrix`` keeps a built value
+
+    @classmethod
+    def _built_on_read(
+        cls, build: Callable[[], np.ndarray], spectral: SpectralDecomposition
+    ) -> "DensityState":
+        """The state with decomposition ``spectral`` whose matrix ``build()`` returns when first read."""
+        state = cls.__new__(cls)
+        object.__setattr__(state, "spectral", spectral)
+        state.__dict__["_build"] = build
+        return state
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        # The matrix is stored before the source is released, so a concurrent first
+        # read (cached_property takes no lock from Python 3.12) finds one of the two.
+        build = self.__dict__.get("_build")
+        if build is None:
+            return self.__dict__["matrix"]
+        self.__dict__["matrix"] = matrix = build()
+        self.__dict__.pop("_build", None)
+        return matrix
 
     @classmethod
     def from_matrix(cls, matrix: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> "DensityState":
@@ -202,12 +230,14 @@ class DensityState:
             v[:, j] = u
         w = np.zeros(dim)
         w[:k] = weights
-        matrix = hermitian_part((v[:, :k] * w[:k]) @ v[:, :k].conj().T)
-        return cls(matrix=matrix, spectral=SpectralDecomposition(w=w, v=v))
+        return cls._built_on_read(
+            lambda: hermitian_part((v[:, :k] * w[:k]) @ v[:, :k].conj().T),
+            SpectralDecomposition(w=w, v=v),
+        )
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.spectral.v.shape[0]
 
     @property
     def eigenvalues(self) -> np.ndarray:

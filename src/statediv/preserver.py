@@ -110,9 +110,10 @@ class SymmetryOp:
 
     def apply_state(self, state: DensityState) -> DensityState:
         """The image state, carrying the input's eigenvalues with eigenvectors
-        U V (U conj(V) when antiunitary); no eigendecomposition runs."""
+        U V (U conj(V) when antiunitary); no eigendecomposition runs, and the
+        image matrix is built when first read."""
         spectral = SpectralDecomposition(w=state.spectral.w, v=self.apply_vector(state.spectral.v))
-        return DensityState(matrix=hermitian_part(self.apply_matrix(state.matrix)), spectral=spectral)
+        return DensityState._built_on_read(lambda: hermitian_part(self.apply_matrix(state.matrix)), spectral)
 
     def apply_vector(self, v: np.ndarray) -> np.ndarray:
         v = np.conj(v) if self.antiunitary else v
@@ -165,12 +166,13 @@ def conjugation_oracle(op: SymmetryOp, tols: Tolerances = DEFAULT_TOLS) -> Prese
 def transpose_oracle(dim: int) -> PreserverOracle:
     """A -> A^T; equals entrywise conjugation, an antiunitary conjugation with U = I.
 
-    The image carries the input's eigenvalues with eigenvectors conj(V).
+    The image carries the input's eigenvalues with eigenvectors conj(V); its
+    matrix is built when first read.
     """
 
     def mapping(s: DensityState) -> DensityState:
         spectral = SpectralDecomposition(w=s.spectral.w, v=s.spectral.v.conj())
-        return DensityState(matrix=hermitian_part(s.matrix.T), spectral=spectral)
+        return DensityState._built_on_read(lambda: hermitian_part(s.matrix.T), spectral)
 
     return PreserverOracle(dim=dim, mapping=mapping, label="transpose")
 

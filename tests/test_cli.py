@@ -8,7 +8,15 @@ import sys
 import numpy as np
 import pytest
 
-from statediv import DensityState, PreserverOracle, SpectralDecomposition, Tolerances, density_state, rng_for
+from statediv import (
+    DensityState,
+    ParameterError,
+    PreserverOracle,
+    SpectralDecomposition,
+    Tolerances,
+    density_state,
+    rng_for,
+)
 from statediv.cli import _parser, _resolve_tols, main
 from statediv.files import read_state, read_symmetry, read_table, write_state
 
@@ -123,17 +131,19 @@ class TestGen:
     @pytest.mark.parametrize(
         "args,digest",
         [
-            (["--dim", "5"], "1c043f16592e7087e0706edd75fe73b52ee614cc67c340da2736c54b4648f889"),
+            (["state", "--dim", "5"], "1c043f16592e7087e0706edd75fe73b52ee614cc67c340da2736c54b4648f889"),
             (
-                ["--dim", "6", "--rank", "3"],
+                ["state", "--dim", "6", "--rank", "3"],
                 "1367fa6a97a6b46a7ad690044fdd40ae6a1ee448b44c166e82a4c0ce3e72ddc0",
             ),
+            (["pure", "--dim", "3"], "dcf868728d40baf7a5e0b08d03d6c01a98d8e4b4c86422e050588366990c61a0"),
+            (["pure", "--dim", "8"], "540ed464c4a9552b6cf66496cf5fb7c10717d98ee1f836d6a088201c00246282"),
         ],
     )
     def test_sampling_contract_bytes(self, tmp_path, args, digest):
         """The seeded state files are part of the file-format contract."""
         out = tmp_path / "s.json"
-        assert main(["gen", "state", *args, "--seed", "7", "-o", str(out)]) == 0
+        assert main(["gen", *args, "--seed", "7", "-o", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
@@ -384,6 +394,32 @@ class TestToleranceFlags:
     def test_every_tolerance_has_a_flag(self, field):
         args = _parser().parse_args(["suite", "all", f"--{field.replace('_', '-')}", "0.125"])
         assert getattr(_resolve_tols(args), field) == 0.125
+
+    @pytest.mark.parametrize(
+        "flags,env,named",
+        [
+            (["--tol-num", "inf"], {}, "tol_num"),
+            (["--tol-herm=-1e-9"], {}, "tol_herm"),
+            ([], {"STATEDIV_EPS_SUPP": "nan"}, "eps_supp"),
+            ([], {"STATEDIV_TOL_NUM": "abc"}, "STATEDIV_TOL_NUM"),
+        ],
+    )
+    def test_bad_tolerance_exits_6(self, flags, env, named, monkeypatch, capsys):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        assert main(["suite", "convexity", "--dims", "2", "--f", "quadratic", *flags]) == 6
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert named in err
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, -1e-12])
+    def test_tolerances_reject_non_finite_or_negative(self, value):
+        with pytest.raises(ParameterError, match="eps_supp"):
+            Tolerances(eps_supp=value)
+        with pytest.raises(ParameterError, match="cluster_tol"):
+            Tolerances().replace(cluster_tol=value)
+        assert Tolerances(eps_supp=0.0).eps_supp == 0.0
 
     def test_env_override_is_honored(self, tmp_path, basis_states):
         import os
