@@ -3,7 +3,6 @@ finite/infinite semantics and a divergence-preserver reconstruction engine."""
 
 from .config import DEFAULT_TOLS, Tolerances, tolerances_from_env
 from .errors import (
-    DegenerateProbeError,
     DimensionMismatchError,
     DomainError,
     FileFormatError,

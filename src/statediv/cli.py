@@ -11,7 +11,7 @@ Distinct exit codes identify the failure class:
     4  matrix/state validation error
     5  dimension mismatch
     6  domain/parameter/range error
-    7  not a preserver / degenerate probes
+    7  not a preserver
     8  oracle error
 """
 
@@ -27,7 +27,6 @@ from . import files
 from .bregman import bregman
 from .config import Tolerances, tolerances_from_env
 from .errors import (
-    DegenerateProbeError,
     DimensionMismatchError,
     DomainError,
     FileFormatError,
@@ -42,13 +41,14 @@ from .generators import parse_generator
 from .jensen import jensen
 from .preserver import (
     PreserverOracle,
-    _wigner_fit,
+    SymmetryOp,
     conjugation_oracle,
     depolarizing_oracle,
     diagonal_oracle,
     transpose_oracle,
     verify_preserver,
     wigner_probes,
+    wigner_reconstruct,
 )
 from .sampling import haar_unitary, random_pure, random_state, rng_for
 from .suites import DEFAULT_DIMS, DEFAULT_GENERATORS, SUITE_NAMES, run_suite
@@ -188,8 +188,6 @@ def _cmd_gen(args: argparse.Namespace, tols: Tolerances) -> int:
         raise ParameterError(f"--dim must be positive, got {args.dim}")
     rng = rng_for(args.seed)
     if args.kind in ("unitary", "antiunitary"):
-        from .preserver import SymmetryOp
-
         op = SymmetryOp(matrix=haar_unitary(args.dim, rng), antiunitary=args.kind == "antiunitary")
         files.write_symmetry(args.output, op)
     elif args.kind == "pure":
@@ -232,7 +230,7 @@ def _cmd_probes(args: argparse.Namespace, tols: Tolerances) -> int:
 
 def _cmd_reconstruct(args: argparse.Namespace, tols: Tolerances) -> int:
     images = files.read_probe_images(args.probes, tols)
-    op, residual = _wigner_fit(images, tols=tols)
+    op, residual = wigner_reconstruct(images, tols=tols)
     files.write_symmetry(args.output, op)
     report = {
         "probes": args.probes,
@@ -287,7 +285,7 @@ _ERROR_CODES = (
     (DimensionMismatchError, EXIT_DIMENSION),
     (ValidationError, EXIT_VALIDATION),
     ((DomainError, ParameterError, RangeError), EXIT_DOMAIN),
-    ((NotAPreserverError, DegenerateProbeError), EXIT_NOT_PRESERVER),
+    (NotAPreserverError, EXIT_NOT_PRESERVER),
     (OracleError, EXIT_ORACLE),
 )
 

@@ -29,10 +29,6 @@ class NotAPreserverError(StateDivError):
     """Probe images are inconsistent with any transition-probability preserver."""
 
 
-class DegenerateProbeError(StateDivError):
-    """A probe image is too degenerate to pin down a phase."""
-
-
 class OracleError(StateDivError):
     """A preserver oracle returned something that is not a valid state."""
 

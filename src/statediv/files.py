@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import DEFAULT_TOLS, Tolerances
-from .errors import FileFormatError, ValidationError
+from .errors import FileFormatError, ParameterError, ValidationError
 from .generators import parse_generator
 from .hermitian import DensityState, RankOneProjection, hermitian_part
 from .preserver import SymmetryOp, probe_labels
@@ -212,7 +212,7 @@ class DivergenceTable:
                 raise ValidationError("only Bregman tables may contain 'inf'")
             try:
                 generator = parse_generator(self.generator)
-            except Exception:
+            except ParameterError:
                 generator = None
             if generator is not None and generator.finite_zero_slope:
                 raise ValidationError(

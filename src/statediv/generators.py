@@ -179,7 +179,7 @@ def parse_generator(spec: str) -> NormalizedGenerator:
             raise ParameterError(f"malformed power generator spec {spec!r}; expected power:q=<rational>")
         try:
             q = float(Fraction(body[2:]))
-        except (ValueError, ZeroDivisionError) as exc:
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise ParameterError(f"cannot parse q in {spec!r}: {exc}") from exc
         return power_generator(q)
     raise ParameterError(f"unknown generator spec {spec!r}")

@@ -19,7 +19,6 @@ import numpy as np
 from .bregman import _bregman_pairs, _check_lambda, rank_two_offset
 from .config import DEFAULT_TOLS, Tolerances
 from .errors import (
-    DegenerateProbeError,
     DimensionMismatchError,
     NotAPreserverError,
     OracleError,
@@ -339,18 +338,19 @@ def max_divergence_functional(f: GeneratorFunction, x: DensityState) -> float:
     is linear in the overlap vector (p_k) = (|<u_k, v>|^2), a point of the
     probability simplex, so its maximum sits at a vertex: the largest value
     over the eigenvectors u_k of X.  (A pure second argument has spectrum
-    {1, 0}, so the double sum collapses to that linear function.)
+    {1, 0}, so the double sum collapses to that linear function.)  At
+    v = u_j the value is term_img[j] - term_ker[j] + sum_k term_ker[k], with
+    the terms below for the eigenvalues a_k of X.
     """
     f = normalize(f)
     if not f.finite_zero_slope:
         raise ParameterError(
             f"generator {f.name!r} has f'(0+) = -inf; M(X) is infinite off full rank"
         )
-    a = x.spectral.w[:, None]
-    overlaps = np.abs(x.spectral.v.conj().T @ x.spectral.v) ** 2
+    a = x.spectral.w
     term_img = f.values(a) - f.slope(1.0) * (a - 1.0)  # weight on the image line
     term_ker = f.values(a) - f.slope_at_zero * a  # weight on the kernel of |v><v|
-    return float(np.max(np.sum(term_img * overlaps + term_ker * (1.0 - overlaps), axis=0)))
+    return float(np.max(term_img - term_ker + np.sum(term_ker)))
 
 
 def pure_reference_value(f: GeneratorFunction, dim: int) -> float:
@@ -386,7 +386,7 @@ def probe_labels(dim: int) -> list[str]:
 
 def _check_probe_dim(dim: int) -> None:
     if dim < 2:
-        raise ParameterError("probe families need dim >= 2; dim = 1 is degenerate")
+        raise ParameterError(f"probe families need dim >= 2, got {dim}")
 
 
 def wigner_probes(dim: int) -> list[RankOneProjection]:
@@ -399,63 +399,45 @@ def wigner_probes(dim: int) -> list[RankOneProjection]:
     """
     _check_probe_dim(dim)
     eye = np.eye(dim, dtype=complex)
-    probes = [RankOneProjection.from_vector(eye[:, i]) for i in range(dim)]
-    for i in range(1, dim):
-        probes.append(RankOneProjection.from_vector(eye[:, 0] + eye[:, i]))
-    probes.append(RankOneProjection.from_vector(eye[:, 0] + 1j * eye[:, 1]))
-    return probes
+    vectors = np.concatenate([eye, eye[0] + eye[1:], (eye[0] + 1j * eye[1])[None]])
+    vectors[dim:] /= math.sqrt(2.0)
+    return [RankOneProjection(vector=row) for row in vectors]
 
 
 def wigner_reconstruct(
-    images: Sequence[RankOneProjection],
-    *,
-    wigner_tol: float = WIGNER_TOL,
-    tols: Tolerances = DEFAULT_TOLS,
-) -> SymmetryOp:
+    images: Sequence[RankOneProjection], *, tols: Tolerances = DEFAULT_TOLS
+) -> tuple[SymmetryOp, float]:
     """Reconstruct the implementing unitary/antiunitary from probe images.
 
     ``images`` lists the images of ``wigner_probes(dim)`` in canonical order.
-    The input family must preserve all pairwise transition probabilities
-    within ``wigner_tol``; the returned operator reproduces every probe image
-    within ``RECONSTRUCT_TOL`` (both violations raise ``NotAPreserverError``).
-    The global phase is fixed so the first nonzero component of the image of
-    e_1 is real and nonnegative.
-    """
-    return _wigner_fit(images, wigner_tol=wigner_tol, tols=tols)[0]
-
-
-def _wigner_fit(
-    images: Sequence[RankOneProjection],
-    probes: Sequence[RankOneProjection] | None = None,
-    *,
-    wigner_tol: float = WIGNER_TOL,
-    tols: Tolerances = DEFAULT_TOLS,
-) -> tuple[SymmetryOp, float]:
-    """``wigner_reconstruct`` together with the probe residual it checked.
-
-    ``probes`` is ``wigner_probes(dim)`` when the caller has built it already.
+    Returns the operator and its probe residual: the largest entry by which
+    the operator misses a probe image.  The images must keep every pairwise
+    transition probability of the probes within ``WIGNER_TOL`` (Wigner's
+    hypothesis), and the residual must stay within ``RECONSTRUCT_TOL``; either
+    violation raises ``NotAPreserverError``.  Once the transitions hold, every
+    phase anchor has modulus near 1/sqrt(2) and the i-probe image fits one
+    orientation, so nothing else is checked.  The global phase is fixed so the
+    first nonzero component of the image of e_1 is real and nonnegative.
     """
     images = list(images)
     if not images or len(images) % 2 != 0:
         raise ParameterError(f"expected 2*dim probe images, got {len(images)}")
     dim = len(images) // 2
-    _check_probe_dim(dim)
+    probes = wigner_probes(dim)
     for img in images:
         if img.dim != dim:
             raise DimensionMismatchError(
                 f"probe image dimension {img.dim} does not match probe family dimension {dim}"
             )
-    labels = probe_labels(dim)
-    if probes is None:
-        probes = wigner_probes(dim)
 
     want, got = transition_table(probes), transition_table(images)
-    offending = np.argwhere(np.triu(np.abs(want - got) > wigner_tol, 1))
+    offending = np.argwhere(np.triu(np.abs(want - got) > WIGNER_TOL, 1))
     if len(offending):
+        labels = probe_labels(dim)
         a, b = offending[0]  # row-major: the first pair in (a, b > a) loop order
         raise NotAPreserverError(
             f"probe pair ({labels[a]}, {labels[b]}): image transition {got[a, b]:.9f} "
-            f"differs from {want[a, b]:.9f} by {abs(want[a, b] - got[a, b]):.3e} > {wigner_tol:.1e}"
+            f"differs from {want[a, b]:.9f} by {abs(want[a, b] - got[a, b]):.3e} > {WIGNER_TOL:.1e}"
         )
 
     columns = np.zeros((dim, dim), dtype=complex)
@@ -464,31 +446,13 @@ def _wigner_fit(
     for i in range(1, dim):
         base = images[i].vector
         target = images[dim + i - 1].vector  # image of (e1 + e_{i+1})/sqrt(2)
-        anchor = np.vdot(psi1, target)
-        if abs(anchor) < 0.1:
-            raise DegenerateProbeError(
-                f"image of {labels[dim + i - 1]} is (near) orthogonal to the image of e1; "
-                "cannot fix the phase"
-            )
-        component = np.vdot(base, target)
-        if abs(component) < 0.1:
-            raise DegenerateProbeError(
-                f"image of {labels[dim + i - 1]} is (near) orthogonal to the image of "
-                f"{labels[i]}; cannot fix the phase"
-            )
-        phase = component / anchor
+        phase = np.vdot(base, target) / np.vdot(psi1, target)
         columns[:, i] = (phase / abs(phase)) * base
 
     izz = images[-1].vector  # image of (e1 + i e2)/sqrt(2)
     plus = (columns[:, 0] + 1j * columns[:, 1]) / math.sqrt(2.0)
     minus = (columns[:, 0] - 1j * columns[:, 1]) / math.sqrt(2.0)
-    fit_plus = float(abs(np.vdot(plus, izz)) ** 2)
-    fit_minus = float(abs(np.vdot(minus, izz)) ** 2)
-    if max(fit_plus, fit_minus) < 0.9:
-        raise NotAPreserverError(
-            f"the i-probe image matches neither orientation (overlaps {fit_plus:.6f} / {fit_minus:.6f})"
-        )
-    antiunitary = fit_minus > fit_plus
+    antiunitary = abs(np.vdot(minus, izz)) ** 2 > abs(np.vdot(plus, izz)) ** 2
 
     for k in range(dim):
         if abs(columns[k, 0]) > tols.tol_num:
@@ -496,7 +460,7 @@ def _wigner_fit(
             columns = columns * np.conj(phase)
             break
 
-    op = SymmetryOp(matrix=columns, antiunitary=antiunitary)
+    op = SymmetryOp(matrix=columns, antiunitary=bool(antiunitary))
     residual = _probe_residual(op, probes, images)
     if not residual <= RECONSTRUCT_TOL:  # a NaN residual fails too
         raise NotAPreserverError(
@@ -509,12 +473,10 @@ def _probe_residual(
     op: SymmetryOp, probes: Sequence[RankOneProjection], images: Sequence[RankOneProjection]
 ) -> float:
     """Max-entry deviation between op-applied probes and the given images."""
-    if len(images) != len(probes):
-        raise ParameterError(f"expected {len(probes)} probe images, got {len(images)}")
     # np.max, not the builtin: max(0.0, nan) drops a NaN that must fail the fit.
     return float(np.max([
         np.max(np.abs(op.apply_projection(probe).matrix - image.matrix))
-        for probe, image in zip(probes, images)
+        for probe, image in zip(probes, images, strict=True)
     ]))
 
 
@@ -668,8 +630,8 @@ class PreserverVerification:
         """The first stage that failed, in the order ``verify_preserver`` runs
         them, or None; a NaN value fails its stage.
 
-        ``"reconstruction"`` covers the Wigner pair gate, the phase anchors,
-        the i-probe and the probe residual; ``reconstruction_error`` says which.
+        ``"reconstruction"`` covers the Wigner pair gate and the probe
+        residual; ``reconstruction_error`` says which.
         """
         stages = (
             ("divergence-deviation", self.divergence_preserved),
@@ -745,11 +707,10 @@ def verify_preserver(
     deviations = [_divergence_deviation(u, v) for u, v in zip(before, after)]
     max_div_dev = float(np.max(deviations))  # NaN anywhere gives NaN; builtin max can drop it
 
-    probes = wigner_probes(dim)
     probe_images: list[RankOneProjection] = []
     images_rank_one = True
     reconstruction_error: str | None = None
-    for probe in probes:
+    for probe in wigner_probes(dim):
         image_state = oracle(probe.to_state())
         try:
             probe_images.append(image_state.as_rank_one(tols))
@@ -764,8 +725,8 @@ def verify_preserver(
 
     if images_rank_one:
         try:
-            symmetry, probe_residual = _wigner_fit(probe_images, probes, tols=tols)
-        except (NotAPreserverError, DegenerateProbeError) as exc:
+            symmetry, probe_residual = wigner_reconstruct(probe_images, tols=tols)
+        except NotAPreserverError as exc:
             reconstruction_error = str(exc)
         if symmetry is not None:
             state_residual = float(np.max([  # np.max keeps a NaN that the builtin can drop

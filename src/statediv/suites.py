@@ -264,7 +264,7 @@ def _suite_preserver(
             if outcome.antiunitary != antiunitary:
                 flag_errors += 1
             images = [op.apply_projection(probe) for probe in dim_probes]
-            rebuilt = wigner_reconstruct(images, tols=tols)
+            rebuilt, _ = wigner_reconstruct(images, tols=tols)
             for _ in range(25):
                 r = random_pure(dim, rng)
                 devs_wigner.append(

@@ -87,9 +87,12 @@ class TestDiv:
         write_state(other, density_state(np.eye(3) / 3))
         assert cli("div", "bregman", "--f", "quadratic", e1, other).returncode == 5
 
-    def test_bad_generator_exit_code(self, basis_states):
+    @pytest.mark.parametrize("spec", ["power:q=1", "power:q=1e999"])  # 1e999 overflows a float
+    def test_bad_generator_exit_code(self, basis_states, spec):
         e1, e2 = basis_states
-        assert cli("div", "bregman", "--f", "power:q=1", e1, e2).returncode == 6
+        result = cli("div", "bregman", "--f", spec, e1, e2)
+        assert result.returncode == 6
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
 
 
 class TestGen:

@@ -1,6 +1,7 @@
 """Every name a module exports through ``__all__`` exists, so a stale export fails here;
 every function reads each of its parameters, and every defaulted parameter is set by
-some call, so a dead option fails here too."""
+some call, so a dead option fails here too; every error class is raised and has its
+own exit code, so a dead exception fails here as well."""
 
 import ast
 import functools
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import statediv
+from statediv import cli, errors
 
 MODULES = sorted(
     f"statediv.{m.name}" for m in pkgutil.iter_modules(statediv.__path__) if m.name != "__main__"
@@ -140,3 +142,56 @@ def test_unset_default_is_flagged():
 def test_every_default_is_set_somewhere(name):
     path = Path(importlib.import_module(name).__file__)
     assert _unset_defaults(path.read_text(encoding="utf-8"), _repo_calls()) == []
+
+
+def _raised_names(sources) -> set[str | None]:
+    """The name of each exception some ``raise`` in ``sources`` raises (``raise E(...)``,
+    ``raise E``, ``raise m.E(...)``)."""
+    names = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                names.add(exc.id if isinstance(exc, ast.Name) else getattr(exc, "attr", None))
+    return names
+
+
+def _error_faults(classes, raised: set, codes, catch_all: int) -> list[str]:
+    """Each class that no ``raise`` names, or that ``codes`` (``cli._ERROR_CODES``
+    form: first matching entry wins) leaves on the ``catch_all`` exit code."""
+    faults = []
+    for cls in classes:
+        if cls.__name__ not in raised:
+            faults.append(f"{cls.__name__} is never raised")
+        if next((code for types, code in codes if issubclass(cls, types)), catch_all) == catch_all:
+            faults.append(f"{cls.__name__} has no exit code")
+    return faults
+
+
+def test_dead_error_class_is_flagged():
+    class Base(Exception):
+        pass
+
+    class Raised(Base):
+        pass
+
+    class Dead(Base):
+        pass
+
+    raised = _raised_names(["raise Raised('x')\n", "try:\n    pass\nexcept E:\n    raise m.Other from None\n"])
+    assert raised == {"Raised", "Other"}
+    assert _error_faults([Raised, Dead], raised, ((Raised, 3),), 1) == [
+        "Dead is never raised",
+        "Dead has no exit code",
+    ]
+    assert _error_faults([Raised], raised, ((Base, 1),), 1) == ["Raised has no exit code"]
+
+
+def test_every_error_is_raised_and_has_its_own_exit_code():
+    classes = [
+        c for c in vars(errors).values()
+        if isinstance(c, type) and issubclass(c, errors.StateDivError) and c is not errors.StateDivError
+    ]
+    raised = _raised_names(p.read_text(encoding="utf-8") for p in sorted((ROOT / "src").rglob("*.py")))
+    assert classes
+    assert _error_faults(classes, raised, cli._ERROR_CODES, cli.EXIT_CHECK_FAILED) == []

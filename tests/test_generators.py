@@ -193,7 +193,7 @@ class TestParseGenerator:
         assert f.slope_at_zero == pytest.approx(-2.0)
         assert parse_generator("power:q=2.5").name == "power(q=2.5)"
 
-    @pytest.mark.parametrize("spec", ["power:q=1", "power:q=abc", "power:1.5", "huh", "power:q=0/0"])
+    @pytest.mark.parametrize("spec", ["power:q=1", "power:q=abc", "power:1.5", "huh", "power:q=0/0", "power:q=1e999"])
     def test_bad_specs(self, spec):
         with pytest.raises(ParameterError):
             parse_generator(spec)

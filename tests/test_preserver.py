@@ -2,13 +2,13 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from statediv import (
     DEFAULT_TOLS,
-    DegenerateProbeError,
     DensityState,
     DimensionMismatchError,
     NotAPreserverError,
@@ -329,9 +329,10 @@ class TestWignerProbes:
             assert labels[0] == "e1"
             assert labels[-1] == "e1+i*e2"
 
-    def test_dim_one_rejected(self):
-        with pytest.raises(ParameterError):
-            wigner_probes(1)
+    @pytest.mark.parametrize("dim", [1, 0])
+    def test_dim_one_rejected(self, dim):
+        with pytest.raises(ParameterError, match=rf"need dim >= 2, got {dim}$"):
+            wigner_probes(dim)
 
     def test_transition_table_of_basis_part_is_doubly_stochastic(self):
         table = transition_table(wigner_probes(4)[:4])
@@ -342,7 +343,7 @@ class TestWignerProbes:
 class TestWignerReconstruct:
     def test_identity_images(self):
         probes = wigner_probes(3)
-        op = wigner_reconstruct(probes)
+        op, _ = wigner_reconstruct(probes)
         assert not op.antiunitary
         np.testing.assert_allclose(op.matrix, np.eye(3), atol=1e-9)
 
@@ -350,7 +351,7 @@ class TestWignerReconstruct:
         # Entrywise conjugation fixes the real probes and flips the i-probe.
         probes = wigner_probes(3)
         images = [RankOneProjection.from_vector(np.conj(p.vector)) for p in probes]
-        op = wigner_reconstruct(images)
+        op, _ = wigner_reconstruct(images)
         assert op.antiunitary
         np.testing.assert_allclose(op.matrix, np.eye(3), atol=1e-9)
 
@@ -360,7 +361,8 @@ class TestWignerReconstruct:
         rng = rng_for(2000 + dim + int(antiunitary))
         source = SymmetryOp(matrix=haar_unitary(dim, rng), antiunitary=antiunitary)
         images = [source.apply_projection(p) for p in wigner_probes(dim)]
-        rebuilt = wigner_reconstruct(images)
+        rebuilt, residual = wigner_reconstruct(images)
+        assert residual == _probe_residual(rebuilt, wigner_probes(dim), images)
         assert rebuilt.antiunitary == antiunitary
         worst = 0.0
         for _ in range(100):
@@ -375,7 +377,7 @@ class TestWignerReconstruct:
         rng = rng_for(201)
         source = SymmetryOp(matrix=haar_unitary(4, rng), antiunitary=False)
         images = [source.apply_projection(p) for p in wigner_probes(4)]
-        rebuilt = wigner_reconstruct(images)
+        rebuilt, _ = wigner_reconstruct(images)
         first = rebuilt.matrix[np.argmax(np.abs(rebuilt.matrix[:, 0]) > 1e-9), 0]
         leading = next(x for x in rebuilt.matrix[:, 0] if abs(x) > 1e-9)
         assert abs(leading.imag) < 1e-9
@@ -409,27 +411,23 @@ class TestWignerReconstruct:
         with pytest.raises(NotAPreserverError, match="e1"):
             wigner_reconstruct(images)
 
-    def test_gate_names_first_pair_in_loop_order(self):
-        # e3 mapped onto e2 breaks (e2, e3) and the pairs of e3 with the
-        # superpositions; (e2, e3) comes first with a < b scanned row by row.
-        probes = wigner_probes(3)
+    @pytest.mark.parametrize(
+        "dim, index, pair",
+        [
+            # e3 mapped onto e2 breaks (e2, e3) and the pairs of e3 with the
+            # superpositions; (e2, e3) comes first with a < b scanned row by row.
+            (3, 2, "e2, e3"),
+            # (e1 + e2)/sqrt(2) mapped onto e2, orthogonal to the image of e1,
+            # leaves no phase anchor; the gate rejects it at its first pair.
+            (2, 2, "e1, e1+e2"),
+        ],
+    )
+    def test_gate_names_first_pair_in_loop_order(self, dim, index, pair):
+        probes = wigner_probes(dim)
         images = list(probes)
-        images[2] = probes[1]
-        with pytest.raises(NotAPreserverError, match=r"probe pair \(e2, e3\)"):
+        images[index] = probes[1]
+        with pytest.raises(NotAPreserverError, match=rf"probe pair \({re.escape(pair)}\)"):
             wigner_reconstruct(images)
-
-    def test_degenerate_phase_probe(self):
-        # Bypass the transition gate with a huge tolerance; the phase fix then
-        # has nothing to hold on to and must flag degeneracy.
-        eye = np.eye(2, dtype=complex)
-        images = [
-            RankOneProjection.from_vector(eye[:, 0]),
-            RankOneProjection.from_vector(eye[:, 1]),
-            RankOneProjection.from_vector(eye[:, 1]),  # superposition image orthogonal to psi1
-            RankOneProjection.from_vector(eye[:, 0] + 1j * eye[:, 1]),
-        ]
-        with pytest.raises(DegenerateProbeError):
-            wigner_reconstruct(images, wigner_tol=10.0)
 
     def test_wrong_count_rejected(self):
         with pytest.raises(ParameterError):

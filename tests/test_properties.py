@@ -6,8 +6,10 @@ twins just inside and just outside one ``cluster_tol``.  No drawn gap lies
 within a tenth of a knob of its threshold, so the eigensolver's rounding never
 decides a zero or a cluster.  Pairs either share an eigenbasis (nested and
 non-nested supports) or not.  Stacks of such pairs go through the stacked
-Bregman and Jensen cores, which must equal one-pair calls bit for bit.  The
-hypothesis profile is fixed in conftest.py.
+Bregman and Jensen cores, which must equal one-pair calls bit for bit.
+Perturbed probe images of a conjugation either reconstruct within
+``RECONSTRUCT_TOL`` or are rejected as no preserver.  The hypothesis profile is
+fixed in conftest.py.
 """
 
 import math
@@ -20,7 +22,10 @@ from hypothesis import strategies as st
 from statediv import (
     DEFAULT_TOLS,
     DensityState,
+    NotAPreserverError,
+    RankOneProjection,
     SpectralDecomposition,
+    SymmetryOp,
     bregman,
     bregman_trace_form,
     density_state,
@@ -36,11 +41,13 @@ from statediv import (
     rng_for,
     support_contained,
     transition_from_jensen,
+    wigner_probes,
+    wigner_reconstruct,
 )
 from statediv.bregman import _bregman_pairs, _clamp_nonneg
 from statediv.generators import power_generator, quadratic, std_entropy
 from statediv.jensen import _jensen_pairs
-from statediv.preserver import BISECT_TOL
+from statediv.preserver import BISECT_TOL, RECONSTRUCT_TOL, _probe_residual
 
 GENERATORS = [parse_generator(s) for s in ("xlogx", "power:q=3/2", "quadratic")]
 EPS, CT = DEFAULT_TOLS.eps_supp, DEFAULT_TOLS.cluster_tol
@@ -286,3 +293,31 @@ def test_stacked_divergences_cover_every_branch():
         assert _bits(_jensen_pairs(normalize(f), xs, ys, DEFAULT_TOLS)) == _bits(
             _one_pair_jensen(f, x, y) for x, y in zip(xs, ys)
         )
+
+
+@given(
+    st.integers(2, 6),
+    st.booleans(),
+    st.integers(0, 2**16),
+    st.sampled_from((0.0, 1e-10, 1e-8, 1e-7, 1e-6, 1e-4, 1e-2)),
+)
+def test_perturbed_probe_images_reconstruct_or_are_rejected(dim, antiunitary, seed, noise):
+    """Noise of every size, from far inside the residual gate to far outside the
+    pair gate, and a random global phase on each image: the reconstruction fits
+    within ``RECONSTRUCT_TOL`` or raises ``NotAPreserverError``, nothing else,
+    and noise far inside the residual gate always fits."""
+    rng = rng_for(seed)
+    source = SymmetryOp(matrix=haar_unitary(dim, rng), antiunitary=antiunitary)
+    images = []
+    for probe in wigner_probes(dim):
+        v = source.apply_vector(probe.vector)
+        v = v + noise * (rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+        images.append(RankOneProjection.from_vector(np.exp(2j * np.pi * rng.random()) * v))
+    try:
+        op, residual = wigner_reconstruct(images)
+    except NotAPreserverError:
+        assert noise > 1e-10
+        return
+    assert residual <= RECONSTRUCT_TOL
+    assert residual == _probe_residual(op, wigner_probes(dim), images)
+    assert op.antiunitary == antiunitary
