@@ -24,7 +24,7 @@ import sys
 from pathlib import Path
 
 from . import files
-from .bregman import bregman
+from .bregman import _bregman_pairs, bregman
 from .config import Tolerances, tolerances_from_env
 from .errors import (
     DimensionMismatchError,
@@ -38,7 +38,7 @@ from .errors import (
     ValidationError,
 )
 from .generators import parse_generator
-from .jensen import jensen
+from .jensen import _jensen_pairs, jensen
 from .preserver import (
     PreserverOracle,
     SymmetryOp,
@@ -202,11 +202,17 @@ def _cmd_table(args: argparse.Namespace, tols: Tolerances) -> int:
     generator = parse_generator(args.generator)
     states = [files.read_state(path, tols) for path in args.files]
     labels = [Path(path).name for path in args.files]
-    divergence = bregman if args.kind == "bregman" else jensen
-    values = [
-        [0.0 if i == j else divergence(generator, a, b, tols=tols) for j, b in enumerate(states)]
-        for i, a in enumerate(states)
-    ]
+    n = len(states)
+    symmetric = args.kind == "jensen"  # J_f(a, b) and J_f(b, a) agree bit for bit
+    pairs = [(i, j) for i in range(n) for j in range(n) if i < j or (i > j and not symmetric)]
+    values = [[0.0] * n for _ in range(n)]
+    if pairs:
+        score = _jensen_pairs if symmetric else _bregman_pairs
+        found = score(generator, [states[i] for i, _ in pairs], [states[j] for _, j in pairs], tols)
+        for (i, j), value in zip(pairs, found):
+            values[i][j] = value
+            if symmetric:
+                values[j][i] = value
 
     table = files.DivergenceTable(
         kind=args.kind,

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,9 +15,14 @@ from statediv import (
     PreserverOracle,
     SpectralDecomposition,
     Tolerances,
+    bregman,
     density_state,
+    jensen,
+    parse_generator,
+    random_state,
     rng_for,
 )
+from statediv import cli as statediv_cli
 from statediv.cli import _parser, _resolve_tols, main
 from statediv.files import read_state, read_symmetry, read_table, write_state
 
@@ -180,6 +186,28 @@ class TestTable:
         assert main(args + ["-o", str(out)]) == 0
         assert '"inf"' in stdout
         assert stdout == out.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("kind, core, pairs", [("bregman", "_bregman_pairs", 6), ("jensen", "_jensen_pairs", 3)])
+    def test_a_table_is_one_stacked_core_call(self, tmp_path, kind, core, pairs):
+        """Bregman stacks the ordered off-diagonal pairs, Jensen the unordered ones,
+        mirrored; the entries are the one-pair values bit for bit."""
+        paths = []
+        for seed, rank in enumerate((None, None, 1)):
+            paths.append(str(tmp_path / f"s{seed}.json"))
+            write_state(paths[-1], random_state(3, rank, rng=rng_for(seed)))
+        out = str(tmp_path / "t.json")
+        args = ["table", "--kind", kind, "--f", "power:q=3/2", "-o", out]
+        with mock.patch.object(statediv_cli, core, wraps=getattr(statediv_cli, core)) as calls:
+            assert main(args + paths[:1]) == 0
+            assert calls.call_count == 0
+            assert read_table(out).values == ((0.0,),)
+            assert main(args + paths) == 0
+        assert calls.call_count == 1
+        assert len(calls.call_args.args[1]) == pairs
+        divergence = bregman if kind == "bregman" else jensen
+        f, states = parse_generator("power:q=3/2"), [read_state(p) for p in paths]
+        expected = [[0.0 if a is b else divergence(f, a, b) for b in states] for a in states]
+        assert [list(row) for row in read_table(out).values] == expected
 
     def test_jobs_flag_is_usage_error(self, tmp_path, basis_states):
         e1, e2 = basis_states

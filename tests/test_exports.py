@@ -1,7 +1,8 @@
 """Every name a module exports through ``__all__`` exists, so a stale export fails here;
 every function reads each of its parameters, and every defaulted parameter is set by
 some call, so a dead option fails here too; every error class is raised and has its
-own exit code, so a dead exception fails here as well."""
+own exit code, so a dead exception fails here as well; and no module imports scipy,
+which only the tests use."""
 
 import ast
 import functools
@@ -195,3 +196,42 @@ def test_every_error_is_raised_and_has_its_own_exit_code():
     raised = _raised_names(p.read_text(encoding="utf-8") for p in sorted((ROOT / "src").rglob("*.py")))
     assert classes
     assert _error_faults(classes, raised, cli._ERROR_CODES, cli.EXIT_CHECK_FAILED) == []
+
+
+def _scipy_imports(source: str) -> list[int]:
+    """The line of each ``import scipy...`` or ``from scipy... import`` in ``source``,
+    at any nesting depth; a relative import of a local module named scipy is not one."""
+
+    def is_scipy(module: str | None) -> bool:
+        return module is not None and module.split(".")[0] == "scipy"
+
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import) and any(is_scipy(alias.name) for alias in node.names):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and is_scipy(node.module):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_scipy_import_is_flagged():
+    source = (
+        "import numpy, scipy.sparse as sp\n"
+        "from . import scipy\n"
+        "from .scipy import logm\n"
+        "import scipyx\n"
+        "class C:\n"
+        "    def m(self):\n"
+        "        if True:\n"
+        "            from scipy.linalg import logm\n"
+        "        return logm\n"
+    )
+    assert _scipy_imports(source) == [1, 8]
+
+
+PACKAGE_FILES = sorted((ROOT / "src" / "statediv").rglob("*.py"))
+
+
+@pytest.mark.parametrize("path", PACKAGE_FILES, ids=[p.name for p in PACKAGE_FILES])
+def test_no_module_imports_scipy(path):
+    assert _scipy_imports(path.read_text(encoding="utf-8")) == []
