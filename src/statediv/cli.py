@@ -203,16 +203,13 @@ def _cmd_table(args: argparse.Namespace, tols: Tolerances) -> int:
     states = [files.read_state(path, tols) for path in args.files]
     labels = [Path(path).name for path in args.files]
     n = len(states)
-    symmetric = args.kind == "jensen"  # J_f(a, b) and J_f(b, a) agree bit for bit
-    pairs = [(i, j) for i in range(n) for j in range(n) if i < j or (i > j and not symmetric)]
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     values = [[0.0] * n for _ in range(n)]
     if pairs:
-        score = _jensen_pairs if symmetric else _bregman_pairs
+        score = _jensen_pairs if args.kind == "jensen" else _bregman_pairs
         found = score(generator, [states[i] for i, _ in pairs], [states[j] for _, j in pairs], tols)
         for (i, j), value in zip(pairs, found):
             values[i][j] = value
-            if symmetric:
-                values[j][i] = value
 
     table = files.DivergenceTable(
         kind=args.kind,

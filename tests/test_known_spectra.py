@@ -220,22 +220,14 @@ class TestResidualReuse:
         assert outcome.max_probe_residual == _probe_residual(outcome.symmetry, wigner_probes(4), images)
 
 
-def _scipy_modules_after(statement: str) -> str:
-    """The scipy modules a fresh interpreter holds after running ``statement``."""
+def test_importing_the_package_leaves_scipy_unloaded():
+    """Neither the import nor a whole suite run loads scipy."""
     code = (
         "import contextlib, io, sys, statediv, statediv.cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    {statement}\n"
+        "    assert statediv.cli.main(['suite', 'all', '--dims', '2']) == 0\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
-    return result.stdout.strip()
-
-
-def test_importing_the_package_leaves_scipy_unloaded():
-    assert _scipy_modules_after("pass") == "[]"
-
-
-def test_a_suite_run_leaves_scipy_unloaded():
-    assert _scipy_modules_after('assert statediv.cli.main(["suite", "all", "--dims", "2"]) == 0') == "[]"
+    assert result.stdout.strip() == "[]"
