@@ -42,12 +42,12 @@ from .jensen import _jensen_pairs, jensen
 from .preserver import (
     PreserverOracle,
     SymmetryOp,
+    _probe_images,
     conjugation_oracle,
     depolarizing_oracle,
     diagonal_oracle,
     transpose_oracle,
     verify_preserver,
-    wigner_probes,
     wigner_reconstruct,
 )
 from .sampling import haar_unitary, random_pure, random_state, rng_for
@@ -223,11 +223,7 @@ def _cmd_table(args: argparse.Namespace, tols: Tolerances) -> int:
 
 def _cmd_probes(args: argparse.Namespace, tols: Tolerances) -> int:
     oracle = _parse_oracle(args.oracle, args.dim, tols)
-    images = []
-    for probe in wigner_probes(args.dim):
-        image_state = oracle(probe.to_state())
-        images.append(image_state.as_rank_one(tols))
-    files.write_probe_images(args.output, images)
+    files.write_probe_images(args.output, _probe_images(oracle, tols))
     return 0
 
 

@@ -101,20 +101,20 @@ class SpectralDecomposition:
         return (self.v * self.w) @ self.v.conj().T
 
 
-def decompose(
-    matrix: np.ndarray, *, tols: Tolerances = DEFAULT_TOLS, psd_floor: bool = False
-) -> SpectralDecomposition:
+def decompose(matrix: np.ndarray, *, tols: Tolerances = DEFAULT_TOLS) -> SpectralDecomposition:
     """Spectral decomposition into descending eigenvalues and their eigenvectors.
 
-    Eigenvalues below ``eps_supp`` in magnitude are exactly 0 (with
-    ``psd_floor``, for validated states: every one below ``eps_supp``, and one
-    below ``-tol_psd`` is an error).
+    Eigenvalues below ``eps_supp`` in magnitude are exactly 0.
     """
-    return _eigh(validate_hermitian(matrix, tols.tol_herm), tols, psd_floor)
+    return _eigh(validate_hermitian(matrix, tols.tol_herm), tols, False)
 
 
 def _eigh(matrix: np.ndarray, tols: Tolerances, psd_floor: bool) -> SpectralDecomposition:
-    """:func:`decompose` of a matrix that ``validate_hermitian`` has returned."""
+    """:func:`decompose` of a matrix that ``validate_hermitian`` has returned.
+
+    With ``psd_floor``, for states: every eigenvalue below ``eps_supp`` is
+    exactly 0, and one below ``-tol_psd`` is an error.
+    """
     w, v = np.linalg.eigh(matrix)
     if psd_floor and w[0] < -tols.tol_psd:
         raise ValidationError(f"state has negative eigenvalue {w[0]:.3e} beyond {tols.tol_psd:.1e}")
@@ -289,8 +289,8 @@ class RankOneProjection:
     def from_vector(cls, vector: np.ndarray) -> "RankOneProjection":
         vector = np.asarray(vector, dtype=complex).reshape(-1)
         norm = float(np.linalg.norm(vector))
-        if norm < DEFAULT_TOLS.tol_num:
-            raise ValidationError("cannot build a rank-one projection from the zero vector")
+        if not DEFAULT_TOLS.tol_num <= norm < np.inf:  # zero, or NaN or inf from an entry
+            raise ValidationError(f"cannot build a rank-one projection from a vector of norm {norm!r}")
         return cls(vector=vector / norm)
 
     @property

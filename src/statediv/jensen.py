@@ -9,7 +9,7 @@ attained exactly at orthogonal pure state pairs.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -99,28 +99,38 @@ def jensen_rank_one(
     """Closed form for pure states: J_f(P, Q) = -( f((1+sqrt(p))/2) + f((1-sqrt(p))/2) )
 
     with p = tr PQ.  Strictly decreasing in p, from M_f at p = 0 down to 0 at
-    p = 1.  ``p`` may be an array of values; the result is then an array too.
-    Each distinct value is evaluated once, with the scalar generator, so an
-    entry equals the float call on it bit for bit.
+    p = 1.  ``p`` may be an array of values; the result is then an array too,
+    each entry the float call on it (``_per_distinct``).
     """
     f = normalize(f)
     low, high = -tols.tol_num, 1.0 + tols.tol_num
-    if np.ndim(p) == 0:
-        if not low <= p <= high:
-            raise ParameterError(f"transition probability must lie in [0, 1], got {p!r}")
-        return _rank_one_value(f, min(max(float(p), 0.0), 1.0))
-    p = np.asarray(p, dtype=float)
-    inside = (p >= low) & (p <= high)
-    if not inside.all():
-        raise ParameterError(f"transition probability must lie in [0, 1], got {float(p[~inside][0])!r}")
-    distinct, index = np.unique(np.clip(p, 0.0, 1.0), return_inverse=True)
-    return np.array([_rank_one_value(f, x) for x in distinct.tolist()])[index].reshape(p.shape)
+
+    def value(x: float) -> float:
+        if not low <= x <= high:
+            raise ParameterError(f"transition probability must lie in [0, 1], got {x!r}")
+        return _rank_one_value(f, min(max(x, 0.0), 1.0))
+
+    return _per_distinct(value, np.asarray(p, dtype=float))
 
 
 def _rank_one_value(f: GeneratorFunction, p: float) -> float:
-    """``jensen_rank_one`` for a normalized ``f`` and a float p in [0, 1], unchecked."""
+    """``jensen_rank_one`` for a normalized ``f`` and a float p in [0, 1], unchecked.
+
+    It calls the scalar generator, not ``f.values``: numpy's and libm's ``pow`` can differ in the last bit.
+    """
     root = math.sqrt(p)
     return -(f(0.5 * (1.0 + root)) + f(0.5 * (1.0 - root)))
+
+
+def _per_distinct(fn: Callable[[float], float], x: np.ndarray) -> "float | np.ndarray":
+    """``fn`` of each entry of the float array ``x`` (a float for a 0-d ``x``), run once per
+    distinct value in order of first occurrence, on the entry as a Python float: each entry
+    equals the float call on it bit for bit, and an error names the first bad entry."""
+    if x.ndim == 0:
+        return fn(x.item())
+    entries = x.ravel().tolist()
+    found = {entry: fn(entry) for entry in dict.fromkeys(entries)}
+    return np.array([found[entry] for entry in entries]).reshape(x.shape)
 
 
 def jensen_max_constant(f: GeneratorFunction) -> float:

@@ -35,7 +35,7 @@ from .hermitian import (
     hermitian_part,
     transition_probability,
 )
-from .jensen import _jensen_pairs, _rank_one_value, jensen_max_constant, jensen_rank_one
+from .jensen import _jensen_pairs, _per_distinct, _rank_one_value, jensen_max_constant, jensen_rank_one
 from .sampling import _random_states, random_pure, rng_for
 
 __all__ = [
@@ -246,33 +246,14 @@ def transition_from_jensen(
 ) -> "float | np.ndarray":
     """Invert the rank-one Jensen closed form by monotone bisection in p.
 
-    ``j`` may be an array of values; the result is then an array too.  Every
-    entry halves the same bracket [0, 1] by the same midpoint rule, so each
-    step's midpoints are dyadic and exact, an entry equals the float call on
-    it bit for bit, and entries in the same bracket share one evaluation of
-    ``jensen_rank_one``.
+    ``j`` may be an array of values; the result is then an array too, each
+    entry the float call on it (``jensen._per_distinct``).
     """
     f = normalize(f)
     m_f = jensen_max_constant(f)
-    j = _checked("Jensen value", j, 0.0, m_f, tols)
-    if j.ndim == 0:  # a plain float loop: array steps would cost a float call many times over
-        j, lo, hi = min(max(float(j), 0.0), m_f), 0.0, 1.0  # J decreases from M_f at p=0 to 0 at p=1
-        while hi - lo > BISECT_TOL:
-            mid = 0.5 * (lo + hi)
-            if _rank_one_value(f, mid) > j:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-    j = np.clip(j, 0.0, m_f)
-    lo, hi = np.zeros_like(j), np.ones_like(j)
-    width = 1.0  # hi - lo, the same for every entry
-    while width > BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        above = jensen_rank_one(f, mid, tols=tols) > j
-        lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
-        width *= 0.5
-    return 0.5 * (lo + hi)
+    j = np.clip(_checked("Jensen value", j, 0.0, m_f, tols), 0.0, m_f)
+    # J decreases from M_f at p = 0 to 0 at p = 1.
+    return _per_distinct(lambda value: _bisect(lambda p: _rank_one_value(f, p) > value, 0.0, 1.0), j)
 
 
 def transition_from_bregman_rank_two(
@@ -317,9 +298,15 @@ def recover_rank_two_spectrum(f: GeneratorFunction, delta: float) -> float:
         raise RangeError(f"gap value {delta!r} needs lam < {BRACKET_EPS:g}; outside bracketing range")
     if delta < gap(hi):
         return hi
+    return _bisect(lambda lam: gap(lam) >= delta, lo, hi)
+
+
+def _bisect(above: Callable[[float], bool], lo: float, hi: float) -> float:
+    """The midpoint of [lo, hi] once bisected to ``BISECT_TOL``, each step moving ``lo``
+    to the midpoint where the monotone test ``above`` holds and ``hi`` where it does not."""
     while hi - lo > BISECT_TOL:
         mid = 0.5 * (lo + hi)
-        if gap(mid) >= delta:
+        if above(mid):
             lo = mid
         else:
             hi = mid
@@ -469,6 +456,12 @@ def wigner_reconstruct(
     return op, residual
 
 
+def _probe_images(oracle: PreserverOracle, tols: Tolerances) -> list[RankOneProjection]:
+    """The oracle's images of ``wigner_probes(oracle.dim)``, in order, as rank-one
+    projections; the first image that is not rank-one raises ``ValidationError``."""
+    return [oracle(probe.to_state()).as_rank_one(tols) for probe in wigner_probes(oracle.dim)]
+
+
 def _probe_residual(
     op: SymmetryOp, probes: Sequence[RankOneProjection], images: Sequence[RankOneProjection]
 ) -> float:
@@ -490,6 +483,8 @@ def transition_table(family: Sequence[RankOneProjection]) -> np.ndarray:
     G = |Phi* Phi|^2 for the family's vectors stacked into Phi: one matrix
     product; entries lie in [0, 1] and the diagonal is exactly 1.
     """
+    if not family:
+        raise ParameterError("a transition table needs at least one projection")
     dims = sorted({p.dim for p in family})
     if len(dims) > 1:
         raise DimensionMismatchError(f"projection dimensions differ: {dims}")
@@ -551,7 +546,7 @@ def probe_transitions_via_divergence(
     its divergence value from the closed form of its route, which is inverted
     with the matching ``transition_from_*`` function and mirrored into the
     lower triangle; no state, mixture or eigendecomposition is built.  Routes:
-    Jensen values inverted by one array bisection; rank-one
+    Jensen values inverted by bisection, once per distinct value; rank-one
     Bregman values inverted linearly (finite f'(0)); for infinite f'(0) each
     pair (R, P) is probed against the rank-two mixture lam P + (1 - lam) Q,
     lam = ``PROBE_LAM``, with Q the orthocomplement of P inside span(R, P) --
@@ -707,17 +702,13 @@ def verify_preserver(
     deviations = [_divergence_deviation(u, v) for u, v in zip(before, after)]
     max_div_dev = float(np.max(deviations))  # NaN anywhere gives NaN; builtin max can drop it
 
-    probe_images: list[RankOneProjection] = []
     images_rank_one = True
     reconstruction_error: str | None = None
-    for probe in wigner_probes(dim):
-        image_state = oracle(probe.to_state())
-        try:
-            probe_images.append(image_state.as_rank_one(tols))
-        except ValidationError as exc:
-            images_rank_one = False
-            reconstruction_error = f"probe image is not rank-one: {exc}"
-            break
+    try:
+        probe_images = _probe_images(oracle, tols)
+    except ValidationError as exc:
+        images_rank_one = False
+        reconstruction_error = f"probe image is not rank-one: {exc}"
 
     symmetry: SymmetryOp | None = None
     probe_residual = math.inf

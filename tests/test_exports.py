@@ -1,8 +1,9 @@
 """Every name a module exports through ``__all__`` exists, so a stale export fails here;
 every function reads each of its parameters, and every defaulted parameter is set by
 some call, so a dead option fails here too; every error class is raised and has its
-own exit code, so a dead exception fails here as well; and no module imports scipy,
-which only the tests use."""
+own exit code, so a dead exception fails here as well; no module imports scipy,
+which only the tests use; and one bisection loop, ``preserver._bisect``, reads the
+bisection tolerance."""
 
 import ast
 import functools
@@ -235,3 +236,39 @@ PACKAGE_FILES = sorted((ROOT / "src" / "statediv").rglob("*.py"))
 @pytest.mark.parametrize("path", PACKAGE_FILES, ids=[p.name for p in PACKAGE_FILES])
 def test_no_module_imports_scipy(path):
     assert _scipy_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _readers_of(name: str, source: str) -> list[str]:
+    """The innermost enclosing function (``<module>`` at top level) of each read
+    of ``name`` in ``source``, as a bare name or as an attribute."""
+    readers = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Name) and child.id == name and isinstance(child.ctx, ast.Load):
+                readers.append(where)
+            elif isinstance(child, ast.Attribute) and child.attr == name and isinstance(child.ctx, ast.Load):
+                readers.append(where)
+            is_function = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_function else where)
+
+    visit(ast.parse(source), "<module>")
+    return readers
+
+
+def test_bisect_tol_reader_is_flagged():
+    source = (
+        "BISECT_TOL = 1e-10\n"
+        "def _bisect(lo, hi):\n"
+        "    return (lambda: hi - lo > BISECT_TOL)()\n"
+        "class C:\n"
+        "    def step(self):\n"
+        "        return preserver.BISECT_TOL\n"
+        "WIDTH = 2 * BISECT_TOL\n"
+    )
+    assert _readers_of("BISECT_TOL", source) == ["_bisect", "step", "<module>"]
+
+
+def test_only_bisect_reads_bisect_tol():
+    readers = [r for path in PACKAGE_FILES for r in _readers_of("BISECT_TOL", path.read_text(encoding="utf-8"))]
+    assert readers == ["_bisect"]

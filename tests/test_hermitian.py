@@ -6,6 +6,7 @@ import pytest
 
 from statediv import hermitian
 from statediv import (
+    DEFAULT_TOLS,
     DensityState,
     DimensionMismatchError,
     DomainError,
@@ -219,7 +220,7 @@ class TestDensityState:
         with mock.patch.object(hermitian, "validate_hermitian", wraps=hermitian.validate_hermitian) as spy:
             state = DensityState.from_matrix(matrix)
         assert spy.call_count == 1
-        expected = decompose(matrix, psd_floor=True)
+        expected = hermitian._eigh(hermitian.validate_hermitian(matrix), DEFAULT_TOLS, True)
         assert np.array_equal(state.spectral.w, expected.w)
         assert np.array_equal(state.spectral.v, expected.v)
 
@@ -258,6 +259,12 @@ class TestRankOneProjection:
     def test_zero_vector_rejected(self):
         with pytest.raises(ValidationError):
             RankOneProjection.from_vector([0.0, 0.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan), 1e200])
+    def test_non_finite_norm_rejected(self, bad):
+        # 1e200 is finite, but its square overflows the norm to inf.
+        with np.errstate(over="ignore"), pytest.raises(ValidationError, match="vector of norm (nan|inf)"):
+            RankOneProjection.from_vector([bad, 1.0])
 
     def test_to_state_roundtrip(self):
         p = RankOneProjection.from_vector([1.0, 1.0j])

@@ -535,6 +535,13 @@ class TestClosedFormPairValues:
         with pytest.raises(DimensionMismatchError):
             transition_table(wigner_probes(2) + wigner_probes(3))
 
+    @pytest.mark.parametrize("kind", ["bregman", "jensen"])
+    def test_empty_family_is_a_parameter_error(self, kind):
+        with pytest.raises(ParameterError, match="at least one projection"):
+            transition_table([])
+        with pytest.raises(ParameterError, match="at least one projection"):
+            probe_transitions_via_divergence(QUAD, [], kind)
+
 
 class TestVerifyPreserver:
     def test_unitary_conjugation_bregman_xlogx(self):

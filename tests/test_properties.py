@@ -38,6 +38,7 @@ from statediv import (
     parse_generator,
     random_pure,
     random_state,
+    recover_rank_two_spectrum,
     rng_for,
     support_contained,
     transition_from_jensen,
@@ -47,7 +48,7 @@ from statediv import (
 from statediv.bregman import _bregman_pairs, _clamp_nonneg
 from statediv.generators import power_generator, quadratic, std_entropy
 from statediv.jensen import _jensen_pairs
-from statediv.preserver import BISECT_TOL, RECONSTRUCT_TOL, _probe_residual
+from statediv.preserver import BISECT_TOL, BRACKET_EPS, RECONSTRUCT_TOL, _probe_residual
 
 GENERATORS = [parse_generator(s) for s in ("xlogx", "power:q=3/2", "quadratic")]
 EPS, CT = DEFAULT_TOLS.eps_supp, DEFAULT_TOLS.cluster_tol
@@ -184,12 +185,58 @@ def _float_bisection(f, j: float) -> float:
 @given(st.sampled_from(JENSEN_GENERATORS), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=30))
 def test_array_jensen_inversion_equals_float_calls(f, fractions):
     m_f = jensen_max_constant(f)
-    j = np.array([u * m_f for u in fractions] + [0.0, m_f, m_f * 1e-12])
+    ties = jensen_rank_one(f, np.array([0.5, 0.25, 0.75])).tolist()  # values at bisection midpoints
+    j = np.array([u * m_f for u in fractions] + [0.0, m_f, m_f * 1e-12] + ties)
     inverted = transition_from_jensen(f, j).tolist()
     assert inverted == [transition_from_jensen(f, x) for x in j.tolist()]
     assert inverted == [_float_bisection(f, x) for x in j.tolist()]
+    grid = j[: 2 * (len(j) // 2)].reshape(2, -1)
+    want = [[_float_bisection(f, x) for x in row] for row in grid.tolist()]
+    assert transition_from_jensen(f, grid).tolist() == want
+    assert transition_from_jensen(f, np.float64(j[0])) == _float_bisection(f, float(j[0]))
     p = np.array(fractions + [0.0, 1.0])
     assert jensen_rank_one(f, p).tolist() == [jensen_rank_one(f, x) for x in p.tolist()]
+    grid = p[: 2 * (len(p) // 2)].reshape(2, -1)
+    want = [[jensen_rank_one(f, x) for x in row] for row in grid.tolist()]
+    assert jensen_rank_one(f, grid).tolist() == want
+    assert jensen_rank_one(f, np.float64(p[0])) == jensen_rank_one(f, float(p[0]))
+
+
+def _gap(f, lam: float) -> float:
+    return f.slope(1.0 - lam) - f.slope(lam)
+
+
+def _spectrum_bisection(f, delta: float) -> float:
+    """The bisection of recover_rank_two_spectrum, written out as the reference."""
+    f = normalize(f)
+    lo, hi = BRACKET_EPS, 0.5 - BRACKET_EPS
+    if delta < _gap(f, hi):
+        return hi
+    while hi - lo > BISECT_TOL:
+        mid = 0.5 * (lo + hi)
+        if _gap(f, mid) >= delta:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@given(
+    st.sampled_from(JENSEN_GENERATORS),
+    st.floats(0.0, 1.0, exclude_min=True),
+    st.lists(st.booleans(), max_size=33),
+)
+def test_rank_two_spectrum_equals_reference_bisection(f, fraction, path):
+    # A drawn share of the bracket's largest gap, and a tie: the gap at the
+    # midpoint the bisection reaches by the steps in ``path``.
+    g = normalize(f)
+    lo, hi = BRACKET_EPS, 0.5 - BRACKET_EPS
+    for up in path:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if up else (lo, mid)
+    for delta in (fraction * _gap(g, BRACKET_EPS), _gap(g, 0.5 * (lo + hi))):
+        if delta > 0.0:
+            assert recover_rank_two_spectrum(f, delta) == _spectrum_bisection(f, delta)
 
 
 def _one_pair_bregman(f, x, y) -> float:
