@@ -16,9 +16,7 @@ from .errors import (
 from .hermitian import (
     DensityState,
     RankOneProjection,
-    SpectralDecomposition,
     apply_function,
-    decompose,
     density_state,
     hermitian_part,
     trace_on_support,

@@ -68,8 +68,8 @@ def support_contained(x: DensityState, y: DensityState, *, tols: Tolerances = DE
     spectral double sum, so a state always contains its own support.
     """
     _check_dims(x, y)
-    inner = x.spectral.v.conj().T @ y.spectral.v[:, y.rank :]  # states keep their zeros last
-    return float(x.spectral.w @ (inner.real**2 + inner.imag**2).sum(axis=1)) < tols.eps_supp
+    inner = x.v.conj().T @ y.v[:, y.rank :]  # states keep their zeros last
+    return float(x.w @ (inner.real**2 + inner.imag**2).sum(axis=1)) < tols.eps_supp
 
 
 def bregman(
@@ -119,15 +119,15 @@ def _double_sums(
 
     The overlaps are one d x d product per pair; the rest is stacked.
     """
-    inner = np.array([x.spectral.v.conj().T @ y.spectral.v for x, y in zip(xs, ys)])
+    inner = np.array([x.v.conj().T @ y.v for x, y in zip(xs, ys)])
     weights = inner.real**2 + inner.imag**2
     leaks = None
     if n < weights.shape[2]:  # as in support_contained
         kernel = weights[:, :, n:].sum(axis=2)
-        leaks = [x.spectral.w @ k >= tols.eps_supp for x, k in zip(xs, kernel)]
+        leaks = [x.w @ k >= tols.eps_supp for x, k in zip(xs, kernel)]
         if all(leaks):
             return np.full(len(xs), INF)
-    w = np.array([[x.spectral.w for x in xs], [y.spectral.w for y in ys]])
+    w = np.array([[x.w for x in xs], [y.w for y in ys]])
     fx, fy = f.values(w)
     a, b, kept = w[0, :, :, None], w[1, :, None, :n], weights[:, :, :n]
     terms = (fx[:, :, None] - fy[:, None, :n] - f.slopes(b) * (a - b)) * kept
@@ -157,12 +157,11 @@ def bregman_trace_form(
     finite = f.finite_zero_slope
     if not finite and not support_contained(x, y, tols=tols):
         return INF
-    sy = y.spectral
-    n = sy.dim if finite else y.rank  # the infinite class puts f' on supp Y only
-    dfy = (sy.v[:, :n] * f.slopes(sy.w[:n])) @ sy.v[:, :n].conj().T
-    fx = apply_function(x, f.values, tols=tols)
-    fy = apply_function(y, f.values, tols=tols)
-    expr = fx - fy - dfy @ (x.spectral.reconstruct() - sy.reconstruct())
+    n = y.dim if finite else y.rank  # the infinite class puts f' on supp Y only
+    dfy = (y.v[:, :n] * f.slopes(y.w[:n])) @ y.v[:, :n].conj().T
+    fx = apply_function(x, f.values)
+    fy = apply_function(y, f.values)
+    expr = fx - fy - dfy @ (x.reconstruct() - y.reconstruct())
     value = float(np.trace(expr).real) if finite else trace_on_support(expr, y.support, tols=tols)
     return _clamp_nonneg(value, tols.tol_num)
 

@@ -7,7 +7,7 @@ Distinct exit codes identify the failure class:
     0  success / all checks passed
     1  a check failed (suite, verify, reconstruct residual)
     2  usage error
-    3  file parse error
+    3  file error: unreadable, unwritable or unparsable
     4  matrix/state validation error
     5  dimension mismatch
     6  domain/parameter/range error

@@ -34,4 +34,4 @@ class OracleError(StateDivError):
 
 
 class FileFormatError(StateDivError):
-    """A state/operator/probe file could not be parsed."""
+    """A state, operator, probe or table file is unreadable, unwritable or unparsable."""

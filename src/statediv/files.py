@@ -58,7 +58,8 @@ def json_value(value: float) -> "float | str":
 def _parse_value(raw: object, context: str) -> float:
     if raw == "inf":
         return math.inf
-    if isinstance(raw, (int, float)) and math.isfinite(raw):
+    # abs(raw) <= max rejects nan, inf and JSON integers beyond the float range.
+    if isinstance(raw, (int, float)) and not isinstance(raw, bool) and abs(raw) <= sys.float_info.max:
         return float(raw)
     raise FileFormatError(f"{context}: expected a finite number or 'inf', got {raw!r}")
 
@@ -74,7 +75,7 @@ def _payload_matrix(obj: dict, dim: int, context: str) -> np.ndarray:
     try:
         re = np.array(obj["re"], dtype=float)
         im = np.array(obj["im"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FileFormatError(f"{context}: malformed re/im arrays: {exc}") from exc
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise FileFormatError(
@@ -91,7 +92,7 @@ def _load_json(path: "str | Path") -> dict:
             obj = json.load(handle)
     except OSError as exc:
         raise FileFormatError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise FileFormatError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise FileFormatError(f"{path}: expected a JSON object at top level")
@@ -104,13 +105,16 @@ def write_json(path: "str | Path | None", obj: dict) -> None:
     if path is None:
         sys.stdout.write(text)
         return
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise FileFormatError(f"cannot write {path}: {exc}") from exc
 
 
 def _read_dim(obj: dict, path: "str | Path") -> int:
     dim = obj.get("dim")
-    if not isinstance(dim, int) or dim < 1:
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise FileFormatError(f"{path}: 'dim' must be a positive integer, got {dim!r}")
     return dim
 
@@ -243,7 +247,7 @@ def read_table(path: "str | Path") -> DivergenceTable:
         raise FileFormatError(f"{path}: 'generator' must be a string")
     if not isinstance(labels, list) or not all(isinstance(l, str) for l in labels):
         raise FileFormatError(f"{path}: 'labels' must be a list of strings")
-    if not isinstance(rows, list):
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise FileFormatError(f"{path}: 'values' must be a list of rows")
     values = tuple(
         tuple(_parse_value(v, f"{path} values[{i}][{j}]") for j, v in enumerate(row))

@@ -1,10 +1,10 @@
 """Complex Hermitian matrix toolkit.
 
-Construction and validation of Hermitian matrices, spectral decomposition
-into eigenvalues and eigenvectors, support projections, standard operator
-functions, and traces restricted to a support subspace.  Everything operates
-on plain ``numpy`` arrays; the wrapper dataclasses carry cached
-decompositions and are treated as immutable.
+Validation of Hermitian matrices, density states stored by their
+eigenvalues and eigenvectors, support projections, standard operator
+functions of states, and traces restricted to a support subspace.  Everything
+operates on plain ``numpy`` arrays; the state dataclasses are treated as
+immutable.
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ from .errors import (
 __all__ = [
     "hermitian_part",
     "validate_hermitian",
-    "SpectralDecomposition",
-    "decompose",
     "apply_function",
     "DensityState",
     "density_state",
@@ -72,123 +70,51 @@ def validate_hermitian(matrix: np.ndarray, tol_herm: float = DEFAULT_TOLS.tol_he
     return hermitian_part(matrix)
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Spectral decomposition M = V diag(w) V*.
+def apply_function(state: "DensityState", fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """Standard operator function f(A) = V diag(f(w)) V* of a state.
 
-    ``w`` has one eigenvalue per column of the unitary ``v``, descending, with
-    exact zeros.  The support projection is built only when read.
+    ``fn`` is evaluated on the eigenvalue array at once; a non-finite value
+    raises ``DomainError``.
     """
-
-    w: np.ndarray
-    v: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.w.shape[0]
-
-    @property
-    def rank(self) -> int:
-        return int(np.count_nonzero(self.w))
-
-    @cached_property
-    def support(self) -> np.ndarray:
-        columns = self.v[:, self.w != 0.0]
-        return hermitian_part(columns @ columns.conj().T)
-
-    def reconstruct(self) -> np.ndarray:
-        """Reassemble V diag(w) V*."""
-        return (self.v * self.w) @ self.v.conj().T
-
-
-def decompose(matrix: np.ndarray, *, tols: Tolerances = DEFAULT_TOLS) -> SpectralDecomposition:
-    """Spectral decomposition into descending eigenvalues and their eigenvectors.
-
-    Eigenvalues below ``eps_supp`` in magnitude are exactly 0.
-    """
-    return _eigh(validate_hermitian(matrix, tols.tol_herm), tols, False)
-
-
-def _eigh(matrix: np.ndarray, tols: Tolerances, psd_floor: bool) -> SpectralDecomposition:
-    """:func:`decompose` of a matrix that ``validate_hermitian`` has returned.
-
-    With ``psd_floor``, for states: every eigenvalue below ``eps_supp`` is
-    exactly 0, and one below ``-tol_psd`` is an error.
-    """
-    w, v = np.linalg.eigh(matrix)
-    if psd_floor and w[0] < -tols.tol_psd:
-        raise ValidationError(f"state has negative eigenvalue {w[0]:.3e} beyond {tols.tol_psd:.1e}")
-    w = w[::-1]
-    w = np.where(w < tols.eps_supp if psd_floor else np.abs(w) < tols.eps_supp, 0.0, w)
-    v = np.ascontiguousarray(v[:, ::-1])
-    return SpectralDecomposition(w=w, v=v)
-
-
-def apply_function(
-    matrix: "np.ndarray | SpectralDecomposition | DensityState",
-    fn: Callable[[np.ndarray], np.ndarray],
-    *,
-    tols: Tolerances = DEFAULT_TOLS,
-) -> np.ndarray:
-    """Standard operator function f(M) = V diag(f(w)) V*.
-
-    ``fn`` is evaluated on the eigenvalue array at once, or one eigenvalue at
-    a time if it takes scalars only; an evaluation error or a non-finite
-    value raises ``DomainError``.
-    """
-    spec = _as_decomposition(matrix, tols)
-    try:
-        values = np.broadcast_to(np.asarray(fn(spec.w), dtype=float), spec.w.shape)
-    except (TypeError, ValueError):  # fn takes scalars only
-        try:
-            values = np.array([fn(float(a)) for a in spec.w])
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
-            raise DomainError(f"cannot evaluate function on the spectrum {spec.w!r}: {exc}") from exc
+    values = np.broadcast_to(np.asarray(fn(state.w), dtype=float), state.w.shape)
     finite = np.isfinite(values)
     if not finite.all():
         k = int(np.argmin(finite))
-        raise DomainError(f"function value at eigenvalue {float(spec.w[k])!r} is {float(values[k])!r}")
-    return (spec.v * values) @ spec.v.conj().T
-
-
-def _as_decomposition(
-    matrix: "np.ndarray | SpectralDecomposition | DensityState", tols: Tolerances
-) -> SpectralDecomposition:
-    if isinstance(matrix, SpectralDecomposition):
-        return matrix
-    if isinstance(matrix, DensityState):
-        return matrix.spectral
-    return decompose(matrix, tols=tols)
+        raise DomainError(f"function value at eigenvalue {float(state.w[k])!r} is {float(values[k])!r}")
+    return (state.v * values) @ state.v.conj().T
 
 
 @dataclass(frozen=True, init=False)
 class DensityState:
-    """A density operator: Hermitian, positive semidefinite, unit trace.
+    """A density operator A = V diag(w) V*: Hermitian, positive semidefinite, unit trace.
 
-    The spectral decomposition ``(w, V)`` is fixed at construction:
-    ``from_matrix`` runs one ``eigh``, while ``from_orthonormal`` and the
-    constructors that know a state's spectrum already (``random_state``,
-    conjugation and transpose images) attach it without one.  Eigenvalues
-    below ``eps_supp`` are exactly 0 for all support decisions.
+    ``w`` has one eigenvalue per column of the unitary ``v``, descending, with
+    eigenvalues below ``eps_supp`` exactly 0 for all support decisions.  The
+    pair is fixed at construction: ``from_matrix`` runs one ``eigh``, while
+    ``from_orthonormal`` and the constructors that know a state's spectrum
+    already (``random_state``, conjugation and transpose images) attach it
+    without one.
 
     ``matrix`` is given at construction or, for ``from_orthonormal`` and the
     conjugation and transpose images, built when first read; until then such
     a state holds what it is built from (for an image, its source state).
+    The support projection is built only when read.
     """
 
-    spectral: SpectralDecomposition = field(repr=False)
+    w: np.ndarray = field(repr=False)
+    v: np.ndarray = field(repr=False)
 
-    def __init__(self, matrix: np.ndarray, spectral: SpectralDecomposition) -> None:
-        object.__setattr__(self, "spectral", spectral)
+    def __init__(self, w: np.ndarray, v: np.ndarray, *, matrix: np.ndarray) -> None:
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "v", v)
         self.__dict__["matrix"] = matrix  # where ``matrix`` keeps a built value
 
     @classmethod
-    def _built_on_read(
-        cls, build: Callable[[], np.ndarray], spectral: SpectralDecomposition
-    ) -> "DensityState":
-        """The state with decomposition ``spectral`` whose matrix ``build()`` returns when first read."""
+    def _built_on_read(cls, build: Callable[[], np.ndarray], w: np.ndarray, v: np.ndarray) -> "DensityState":
+        """The state V diag(w) V* whose matrix ``build()`` returns when first read."""
         state = cls.__new__(cls)
-        object.__setattr__(state, "spectral", spectral)
+        object.__setattr__(state, "w", w)
+        object.__setattr__(state, "v", v)
         state.__dict__["_build"] = build
         return state
 
@@ -205,11 +131,20 @@ class DensityState:
 
     @classmethod
     def from_matrix(cls, matrix: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> "DensityState":
+        """The state of ``matrix``, after one Hermitian check and one ``eigh``.
+
+        An eigenvalue below ``-tol_psd`` is an error.
+        """
         matrix = validate_hermitian(matrix, tols.tol_herm)
         trace = float(np.trace(matrix).real)
         if abs(trace - 1.0) > tols.tol_trace:
             raise ValidationError(f"state trace is {trace!r}, expected 1 within {tols.tol_trace:.1e}")
-        return cls(matrix=matrix, spectral=_eigh(matrix, tols, psd_floor=True))
+        w, v = np.linalg.eigh(matrix)
+        if w[0] < -tols.tol_psd:
+            raise ValidationError(f"state has negative eigenvalue {w[0]:.3e} beyond {tols.tol_psd:.1e}")
+        w = w[::-1]
+        w = np.where(w < tols.eps_supp, 0.0, w)
+        return cls(w, np.ascontiguousarray(v[:, ::-1]), matrix=matrix)
 
     @classmethod
     def from_orthonormal(cls, weights: Sequence[float], vectors: Sequence[np.ndarray]) -> "DensityState":
@@ -230,26 +165,24 @@ class DensityState:
             v[:, j] = u
         w = np.zeros(dim)
         w[:k] = weights
-        return cls._built_on_read(
-            lambda: hermitian_part((v[:, :k] * w[:k]) @ v[:, :k].conj().T),
-            SpectralDecomposition(w=w, v=v),
-        )
+        return cls._built_on_read(lambda: hermitian_part((v[:, :k] * w[:k]) @ v[:, :k].conj().T), w, v)
 
     @property
     def dim(self) -> int:
-        return self.spectral.v.shape[0]
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return self.spectral.w
-
-    @property
-    def support(self) -> np.ndarray:
-        return self.spectral.support
+        return self.w.shape[0]
 
     @property
     def rank(self) -> int:
-        return self.spectral.rank
+        return int(np.count_nonzero(self.w))
+
+    @cached_property
+    def support(self) -> np.ndarray:
+        columns = self.v[:, self.w != 0.0]
+        return hermitian_part(columns @ columns.conj().T)
+
+    def reconstruct(self) -> np.ndarray:
+        """Reassemble V diag(w) V*."""
+        return (self.v * self.w) @ self.v.conj().T
 
     def as_rank_one(self, tols: Tolerances = DEFAULT_TOLS) -> "RankOneProjection":
         """Extract the rank-one projection if this state is pure.
@@ -257,14 +190,14 @@ class DensityState:
         Pure means a leading eigenvalue within ``tol_num`` of 1 and no other
         eigenvalue of its sign less than ``cluster_tol`` below it.
         """
-        w, top = self.spectral.w, float(self.spectral.w[0])
+        w, top = self.w, float(self.w[0])
         multiplicity = int(np.count_nonzero((top - w < tols.cluster_tol) & (np.sign(w) == np.sign(top))))
         if abs(top - 1.0) > tols.tol_num or multiplicity != 1:
             raise ValidationError(
                 f"state is not rank-one: leading eigenvalue {top!r} "
                 f"with multiplicity {multiplicity}"
             )
-        vector = self.spectral.v[:, 0]
+        vector = self.v[:, 0]
         return RankOneProjection.from_vector(vector * vector[np.argmax(np.abs(vector))].conj())
 
 

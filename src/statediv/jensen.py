@@ -16,7 +16,7 @@ import numpy as np
 from .config import DEFAULT_TOLS, Tolerances
 from .errors import DomainError, ParameterError
 from .generators import GeneratorFunction, NormalizedGenerator, normalize
-from .hermitian import DensityState, SpectralDecomposition, hermitian_part
+from .hermitian import DensityState, hermitian_part
 from .bregman import _check_dims, _clamp_nonneg, bregman
 
 __all__ = [
@@ -36,7 +36,7 @@ def _require_finite_at_zero(f: GeneratorFunction) -> None:
 def _midpoint_matrix(a: DensityState, b: DensityState) -> np.ndarray:
     """(A + B)/2 of A and B with their zeros decided."""
     _check_dims(a, b)
-    return (a.spectral.reconstruct() + b.spectral.reconstruct()) / 2.0
+    return (a.reconstruct() + b.reconstruct()) / 2.0
 
 
 def midpoint_state(a: DensityState, b: DensityState) -> DensityState:
@@ -49,8 +49,7 @@ def midpoint_state(a: DensityState, b: DensityState) -> DensityState:
     matrix = hermitian_part(_midpoint_matrix(a, b))
     w, v = np.linalg.eigh(matrix)
     w = np.maximum(w[::-1], 0.0)
-    spectral = SpectralDecomposition(w=w, v=np.ascontiguousarray(v[:, ::-1]))
-    return DensityState(matrix=matrix, spectral=spectral)
+    return DensityState(w, np.ascontiguousarray(v[:, ::-1]), matrix=matrix)
 
 
 def jensen(
@@ -82,10 +81,10 @@ def _jensen_pairs(
     _require_finite_at_zero(f)
     for x, y in zip(xs, ys):
         _check_dims(x, y)
-    wx = np.array([x.spectral.w for x in xs])
-    wy = np.array([y.spectral.w for y in ys])
+    wx = np.array([x.w for x in xs])
+    wy = np.array([y.w for y in ys])
     mid = (wx + wy) / 2.0
-    apart = [k for k, (x, y) in enumerate(zip(xs, ys)) if x.spectral.v is not y.spectral.v]
+    apart = [k for k, (x, y) in enumerate(zip(xs, ys)) if x.v is not y.v]
     if apart:
         midpoints = np.array([_midpoint_matrix(xs[k], ys[k]) for k in apart])
         mid[apart] = np.maximum(np.linalg.eigvalsh(midpoints), 0.0)

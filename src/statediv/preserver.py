@@ -30,7 +30,6 @@ from .generators import GeneratorFunction, NormalizedGenerator, normalize
 from .hermitian import (
     DensityState,
     RankOneProjection,
-    SpectralDecomposition,
     _finite_square,
     hermitian_part,
     transition_probability,
@@ -111,8 +110,9 @@ class SymmetryOp:
         """The image state, carrying the input's eigenvalues with eigenvectors
         U V (U conj(V) when antiunitary); no eigendecomposition runs, and the
         image matrix is built when first read."""
-        spectral = SpectralDecomposition(w=state.spectral.w, v=self.apply_vector(state.spectral.v))
-        return DensityState._built_on_read(lambda: hermitian_part(self.apply_matrix(state.matrix)), spectral)
+        return DensityState._built_on_read(
+            lambda: hermitian_part(self.apply_matrix(state.matrix)), state.w, self.apply_vector(state.v)
+        )
 
     def apply_vector(self, v: np.ndarray) -> np.ndarray:
         v = np.conj(v) if self.antiunitary else v
@@ -146,8 +146,8 @@ class PreserverOracle:
             raise OracleError(f"oracle {self.label!r} returned {type(image).__name__}, not a DensityState")
         if image.dim != self.dim:
             raise OracleError(f"oracle {self.label!r} changed the dimension: {image.dim} != {self.dim}")
-        if not np.isfinite(image.spectral.w).all():
-            raise OracleError(f"oracle {self.label!r} returned non-finite eigenvalues {image.spectral.w!r}")
+        if not np.isfinite(image.w).all():
+            raise OracleError(f"oracle {self.label!r} returned non-finite eigenvalues {image.w!r}")
         return image
 
 
@@ -170,8 +170,7 @@ def transpose_oracle(dim: int) -> PreserverOracle:
     """
 
     def mapping(s: DensityState) -> DensityState:
-        spectral = SpectralDecomposition(w=s.spectral.w, v=s.spectral.v.conj())
-        return DensityState._built_on_read(lambda: hermitian_part(s.matrix.T), spectral)
+        return DensityState._built_on_read(lambda: hermitian_part(s.matrix.T), s.w, s.v.conj())
 
     return PreserverOracle(dim=dim, mapping=mapping, label="transpose")
 
@@ -334,7 +333,7 @@ def max_divergence_functional(f: GeneratorFunction, x: DensityState) -> float:
         raise ParameterError(
             f"generator {f.name!r} has f'(0+) = -inf; M(X) is infinite off full rank"
         )
-    a = x.spectral.w
+    a = x.w
     term_img = f.values(a) - f.slope(1.0) * (a - 1.0)  # weight on the image line
     term_ker = f.values(a) - f.slope_at_zero * a  # weight on the kernel of |v><v|
     return float(np.max(term_img - term_ker + np.sum(term_ker)))

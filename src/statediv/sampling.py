@@ -11,7 +11,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLS, Tolerances
 from .errors import ParameterError
-from .hermitian import DensityState, RankOneProjection, SpectralDecomposition, hermitian_part
+from .hermitian import DensityState, RankOneProjection, hermitian_part
 
 __all__ = [
     "rng_for",
@@ -120,6 +120,6 @@ def _random_states(
     w = spectrum[np.arange(n)[:, None], order]
     w[w < tols.eps_supp] = 0.0
     return [
-        DensityState(matrix=m, spectral=SpectralDecomposition(w=wk, v=b[:, o]))
+        DensityState(wk, b[:, o], matrix=m)
         for m, wk, b, o in zip(matrices, w, basis, order)
     ]

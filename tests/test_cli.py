@@ -13,7 +13,6 @@ from statediv import (
     DensityState,
     ParameterError,
     PreserverOracle,
-    SpectralDecomposition,
     Tolerances,
     bregman,
     density_state,
@@ -99,6 +98,57 @@ class TestDiv:
         result = cli("div", "bregman", "--f", spec, e1, e2)
         assert result.returncode == 6
         assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+
+
+def _one_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+class TestFileErrors:
+    """Every unreadable, unwritable or unparsable file exits 3 with one ``error:`` line."""
+
+    @pytest.mark.parametrize("kind", ["state", "operator", "probes"])
+    def test_boolean_dim_exits_3(self, tmp_path, kind, capsys):
+        path = tmp_path / f"{kind}.json"
+        document = {"dim": True, "re": [[1.0]], "im": [[0.0]]}
+        if kind == "operator":
+            document["antiunitary"] = False
+        if kind == "probes":
+            document = {"dim": True, "images": []}
+        path.write_text(json.dumps(document))
+        argv = {
+            "state": ["div", "bregman", "--f", "quadratic", str(path), str(path)],
+            "operator": [
+                "verify", "--kind", "bregman", "--f", "quadratic", "--dim", "2", "--oracle", f"conjugate:{path}"
+            ],
+            "probes": ["reconstruct", str(path), "-o", str(tmp_path / "op.json")],
+        }[kind]
+        assert main(argv) == 3
+        assert "'dim' must be a positive integer, got True" in _one_error_line(capsys)
+
+    def test_non_utf8_file_exits_3(self, tmp_path, basis_states, capsys):
+        e1, _ = basis_states
+        latin1 = tmp_path / "latin1.json"
+        latin1.write_bytes(e1.read_bytes().replace(b'"dim"', b'"note": "\xe9", "dim"'))
+        assert main(["div", "bregman", "--f", "quadratic", str(e1), str(latin1)]) == 3
+        assert "is not valid JSON: 'utf-8' codec can't decode" in _one_error_line(capsys)
+
+    @pytest.mark.parametrize("command", ["gen", "table", "probes", "reconstruct", "suite"])
+    def test_unwritable_output_exits_3(self, tmp_path, basis_states, command, capsys):
+        probes_file = tmp_path / "probes.json"
+        assert main(["probes", "--dim", "2", "--oracle", "transpose", "-o", str(probes_file)]) == 0
+        missing = tmp_path / "missing" / "out.json"
+        argv = {
+            "gen": ["gen", "state", "--dim", "2"],
+            "table": ["table", "--kind", "bregman", "--f", "quadratic", *map(str, basis_states)],
+            "probes": ["probes", "--dim", "2", "--oracle", "transpose"],
+            "reconstruct": ["reconstruct", str(probes_file)],
+            "suite": ["suite", "convexity", "--dims", "2", "--f", "quadratic"],
+        }[command]
+        assert main([*argv, "-o", str(missing)]) == 3
+        assert f"cannot write {missing}" in _one_error_line(capsys)
 
 
 class TestGen:
@@ -219,9 +269,9 @@ class TestTable:
 class TestReconstructAndVerify:
     def test_probes_refuses_an_image_with_non_finite_eigenvalues(self, tmp_path, monkeypatch, capsys):
         def mapping(state):  # the matrix is intact; one eigenvalue is NaN
-            w = state.spectral.w.copy()
+            w = state.w.copy()
             w[-1] = math.nan
-            return DensityState(matrix=state.matrix, spectral=SpectralDecomposition(w=w, v=state.spectral.v))
+            return DensityState(w, state.v, matrix=state.matrix)
 
         oracle = PreserverOracle(dim=3, mapping=mapping, label="nan-image")
         monkeypatch.setattr("statediv.cli._parse_oracle", lambda spec, dim, tols: oracle)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from statediv import (
     FileFormatError,
+    StateDivError,
     SymmetryOp,
     ValidationError,
     conjugation_oracle,
@@ -252,3 +253,109 @@ class TestRoundTripProperty:
         table = DivergenceTable(kind=kind, generator=generator, labels=labels, values=values)
         first, second = _round_trip_bytes(write_table, read_table, table)
         assert first == second
+
+
+def _documents() -> dict:
+    """One valid JSON document per reader, at d = 2."""
+    documents = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        written = {
+            read_state: (write_state, random_state(2, rng=rng_for(3))),
+            read_symmetry: (write_symmetry, SymmetryOp(matrix=haar_unitary(2, rng_for(4)), antiunitary=True)),
+            read_probe_images: (write_probe_images, wigner_probes(2)),
+            read_table: (write_table, DivergenceTable("bregman", "xlogx", ("a", "b"), ((0, math.inf), (1.5, 0)))),
+        }
+        for read, (write, obj) in written.items():
+            path = Path(tmp) / "doc.json"
+            write(path, obj)
+            documents[read] = json.loads(path.read_text())
+    return documents
+
+
+DOCUMENTS = _documents()
+READERS = list(DOCUMENTS)
+# What a field is swapped for: a bool, null, a string, or nested lists of these and small integers.
+_LEAF = st.booleans() | st.none() | st.integers(-3, 3) | st.text(max_size=2)
+JUNK = st.booleans() | st.none() | st.text(max_size=4) | st.recursive(_LEAF, st.lists, max_leaves=6)
+
+
+def _paths(node, prefix=()) -> list[tuple]:
+    """The key path of every value inside a JSON document, nested ones included."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    paths = []
+    for key, child in items:
+        paths.append(prefix + (key,))
+        paths += _paths(child, prefix + (key,))
+    return paths
+
+
+def _read_only_raises_statediv_errors(read, content: bytes) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.json"
+        path.write_bytes(content)
+        try:
+            read(path)
+        except StateDivError:
+            pass
+
+
+class TestMalformedInputProperty:
+    """Every reader turns a malformed file into a ``StateDivError``, never another exception."""
+
+    @pytest.mark.parametrize("read", READERS, ids=lambda r: r.__name__)
+    @given(content=st.binary(max_size=64) | st.binary(max_size=8).map(lambda b: b'{"dim": 2, ' + b))
+    def test_arbitrary_bytes(self, read, content):
+        _read_only_raises_statediv_errors(read, content)
+
+    @pytest.mark.parametrize("read", READERS, ids=lambda r: r.__name__)
+    @given(data=st.data())
+    def test_fields_swapped_for_junk(self, read, data):
+        document = json.loads(json.dumps(DOCUMENTS[read]))
+        for _ in range(data.draw(st.integers(1, 3))):
+            *parents, key = data.draw(st.sampled_from(_paths(document)))
+            target = document
+            for step in parents:
+                target = target[step]
+            target[key] = data.draw(JUNK)
+        _read_only_raises_statediv_errors(read, json.dumps(document).encode())
+
+
+class TestBooleansAreNotNumbers:
+    @pytest.mark.parametrize("read", READERS[:3], ids=lambda r: r.__name__)
+    def test_boolean_dim_is_a_file_error(self, tmp_path, read):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({**DOCUMENTS[read], "dim": True}))
+        with pytest.raises(FileFormatError, match="'dim' must be a positive integer, got True"):
+            read(path)
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_boolean_table_value_is_a_file_error(self, tmp_path, flag):
+        path = tmp_path / "table.json"
+        document = DOCUMENTS[read_table]
+        path.write_text(json.dumps({**document, "values": [[0.0, flag], [1.5, 0.0]]}))
+        expected = rf"values\[0\]\[1\]: expected a finite number or 'inf', got {flag}"
+        with pytest.raises(FileFormatError, match=expected):
+            read_table(path)
+
+
+def test_non_utf8_file_is_a_file_error(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"dim": 1, "re": [[1.0]], "im": [[0.0]], "note": "\xe9"}')
+    with pytest.raises(FileFormatError, match="is not valid JSON: 'utf-8' codec can't decode"):
+        read_state(path)
+
+
+def test_unwritable_path_is_a_file_error(tmp_path):
+    path = tmp_path / "missing" / "state.json"
+    with pytest.raises(FileFormatError, match="cannot write .*state.json"):
+        write_state(path, random_state(2, rng=rng_for(1)))
+
+
+def test_integer_beyond_float_range_is_a_file_error(tmp_path):
+    state, table = tmp_path / "state.json", tmp_path / "table.json"
+    state.write_text(json.dumps({"dim": 1, "re": [[10**400]], "im": [[0]]}))
+    table.write_text(json.dumps({**DOCUMENTS[read_table], "values": [[0, 10**400], [1, 0]]}))
+    with pytest.raises(FileFormatError, match="int too large to convert to float"):
+        read_state(state)
+    with pytest.raises(FileFormatError, match=r"values\[0\]\[1\]: expected a finite number"):
+        read_table(table)

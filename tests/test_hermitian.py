@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from unittest import mock
 
@@ -15,7 +16,6 @@ from statediv import (
     apply_function,
     bregman,
     bregman_trace_form,
-    decompose,
     density_state,
     haar_unitary,
     rng_for,
@@ -31,55 +31,58 @@ def _line(vector: np.ndarray) -> np.ndarray:
     return np.outer(vector, vector.conj())
 
 
-class TestDecompose:
+def _random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """A full-rank density matrix M M* / tr(M M*) from a random Hermitian M."""
+    matrix = random_hermitian(dim, rng)
+    matrix = matrix @ matrix.conj().T
+    return matrix / np.trace(matrix).real
+
+
+class TestFromMatrix:
     def test_diagonal_two_level(self):
-        dec = decompose(np.diag([1.0, 0.0]))
-        np.testing.assert_array_equal(dec.w, [1.0, 0.0])
-        np.testing.assert_allclose(_line(dec.v[:, 0]), np.diag([1.0, 0.0]), atol=1e-14)
-        np.testing.assert_allclose(_line(dec.v[:, 1]), np.diag([0.0, 1.0]), atol=1e-14)
+        state = density_state(np.diag([1.0, 0.0]))
+        np.testing.assert_array_equal(state.w, [1.0, 0.0])
+        np.testing.assert_allclose(_line(state.v[:, 0]), np.diag([1.0, 0.0]), atol=1e-14)
+        np.testing.assert_allclose(_line(state.v[:, 1]), np.diag([0.0, 1.0]), atol=1e-14)
 
     def test_symmetric_half_matrix(self):
         # Hand eigendecomposition: eigenvalues 1 and 0 with eigenvectors
         # (1, 1)/sqrt(2) and (1, -1)/sqrt(2).
-        matrix = np.array([[0.5, 0.5], [0.5, 0.5]])
-        dec = decompose(matrix)
+        state = density_state(np.array([[0.5, 0.5], [0.5, 0.5]]))
         p_plus = np.full((2, 2), 0.5)
         p_minus = np.array([[0.5, -0.5], [-0.5, 0.5]])
-        assert dec.w[0] == pytest.approx(1.0)
-        assert dec.w[1] == 0.0
-        np.testing.assert_allclose(_line(dec.v[:, 0]), p_plus, atol=1e-12)
-        np.testing.assert_allclose(_line(dec.v[:, 1]), p_minus, atol=1e-12)
+        assert state.w[0] == pytest.approx(1.0)
+        assert state.w[1] == 0.0
+        np.testing.assert_allclose(_line(state.v[:, 0]), p_plus, atol=1e-12)
+        np.testing.assert_allclose(_line(state.v[:, 1]), p_minus, atol=1e-12)
 
     @pytest.mark.parametrize("dim", [2, 3, 5, 8])
     def test_roundtrip_random(self, dim):
         rng = rng_for(100 + dim)
         for _ in range(10):
-            matrix = random_hermitian(dim, rng)
-            dec = decompose(matrix)
-            np.testing.assert_allclose(dec.reconstruct(), matrix, atol=dim * 1e-8)
+            matrix = _random_density(dim, rng)
+            np.testing.assert_allclose(density_state(matrix).reconstruct(), matrix, atol=dim * 1e-12)
 
     @pytest.mark.parametrize("dim", [2, 4, 6])
     def test_projection_family_structure(self, dim):
-        rng = rng_for(200 + dim)
-        matrix = random_hermitian(dim, rng)
-        dec = decompose(matrix)
-        lines = [_line(dec.v[:, a]) for a in range(dim)]
+        state = density_state(_random_density(dim, rng_for(200 + dim)))
+        lines = [_line(state.v[:, a]) for a in range(dim)]
         for a, p in enumerate(lines):
             np.testing.assert_allclose(p @ p, p, atol=1e-9)
             for b, q in enumerate(lines):
                 if a != b:
                     np.testing.assert_allclose(p @ q, 0.0, atol=1e-9)
         np.testing.assert_allclose(sum(lines), np.eye(dim), atol=1e-9)
-        assert dec.w.shape == (dim,)
-        assert np.all(np.diff(dec.w) <= 0)
+        assert state.w.shape == (dim,)
+        assert np.all(np.diff(state.w) <= 0)
 
     def test_non_hermitian_rejected(self):
-        with pytest.raises(ValidationError):
-            decompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            density_state(np.array([[0.5, 1.0], [0.0, 0.5]]))
 
     def test_non_square_rejected(self):
-        with pytest.raises(ValidationError):
-            decompose(np.ones((2, 3)))
+        with pytest.raises(ValidationError, match="square"):
+            density_state(np.ones((2, 3)))
 
 
 class TestZerosBeforeClustering:
@@ -95,43 +98,34 @@ class TestZerosBeforeClustering:
 
 class TestApplyFunction:
     def test_identity_function(self):
-        rng = rng_for(5)
-        matrix = random_hermitian(4, rng)
-        np.testing.assert_allclose(apply_function(matrix, lambda x: x), matrix, atol=1e-9)
+        matrix = _random_density(4, rng_for(5))
+        np.testing.assert_allclose(apply_function(density_state(matrix), lambda x: x), matrix, atol=1e-12)
 
     def test_square_on_diagonal(self):
-        np.testing.assert_allclose(
-            apply_function(np.diag([2.0, 3.0]), lambda x: x**2), np.diag([4.0, 9.0]), atol=1e-12
-        )
+        state = density_state(np.diag([0.25, 0.75]))
+        expected = np.diag([0.0625, 0.5625])
+        np.testing.assert_allclose(apply_function(state, lambda x: x**2), expected, atol=1e-15)
 
     def test_xlogx_on_half_projection(self):
-        # f(1) = 0 and the declared limit f(0) = 0, so f(M) vanishes.
-        from statediv import std_entropy
-
-        matrix = np.array([[0.5, 0.5], [0.5, 0.5]])
-        result = apply_function(matrix, std_entropy())
-        np.testing.assert_allclose(result, np.zeros((2, 2)), atol=1e-12)
+        # f(1) = 0 and the declared limit f(0) = 0, so f(A) vanishes.
+        state = density_state(np.array([[0.5, 0.5], [0.5, 0.5]]))
+        np.testing.assert_allclose(apply_function(state, std_entropy().values), np.zeros((2, 2)), atol=1e-12)
 
     @pytest.mark.parametrize("dim", [2, 3, 5])
     def test_basis_covariance(self, dim):
         rng = rng_for(50 + dim)
-        state = np.diag(rng.uniform(0.5, 2.0, size=dim))
+        weights = rng.uniform(0.5, 2.0, size=dim)
+        diagonal = np.diag(weights / weights.sum())
         basis = haar_unitary(dim, rng)
-        rotated = basis @ state @ basis.conj().T
+        rotated = basis @ diagonal @ basis.conj().T
         fn = lambda x: x**3 - 2 * x
-        lhs = apply_function((rotated + rotated.conj().T) / 2, fn)
-        rhs = basis @ apply_function(state, fn) @ basis.conj().T
-        np.testing.assert_allclose(lhs, rhs, atol=1e-9)
-
-    def test_domain_error_on_negative_spectrum(self):
-        import math
-
-        with pytest.raises(DomainError):
-            apply_function(np.diag([1.0, -1.0]), math.sqrt)
+        lhs = apply_function(density_state((rotated + rotated.conj().T) / 2), fn)
+        rhs = basis @ apply_function(density_state(diagonal), fn) @ basis.conj().T
+        np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_domain_error_on_nonfinite_value(self):
-        with pytest.raises(DomainError):
-            apply_function(np.diag([1.0, 0.0]), lambda x: 1.0 / x if x else float("inf"))
+        with pytest.raises(DomainError, match="value at eigenvalue 0.0 is inf"):
+            apply_function(density_state(np.diag([1.0, 0.0])), lambda x: np.where(x > 0.0, x, np.inf))
 
 
 class TestTransitionProbability:
@@ -198,7 +192,7 @@ class TestDensityState:
         state = density_state(np.diag([0.25, 0.75]))
         assert state.dim == 2
         assert state.rank == 2
-        np.testing.assert_allclose(state.eigenvalues, [0.75, 0.25])
+        np.testing.assert_allclose(state.w, [0.75, 0.25])
 
     def test_rejects_bad_trace(self):
         with pytest.raises(ValidationError):
@@ -213,16 +207,22 @@ class TestDensityState:
         with pytest.raises(ValidationError, match=r"non-finite entries: \[0, 0\]"):
             DensityState.from_matrix(np.array([[bad, 0.0], [0.0, 0.5]]))
 
-    def test_validates_once_and_decomposes_as_decompose(self):
-        matrix = random_hermitian(4, rng_for(12))
-        matrix = matrix @ matrix.conj().T
-        matrix /= np.trace(matrix).real
-        with mock.patch.object(hermitian, "validate_hermitian", wraps=hermitian.validate_hermitian) as spy:
+    def test_validates_once_and_runs_one_eigh(self):
+        matrix = _random_density(4, rng_for(12))
+        with (
+            mock.patch.object(hermitian, "validate_hermitian", wraps=hermitian.validate_hermitian) as spy,
+            mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh,
+        ):
             state = DensityState.from_matrix(matrix)
-        assert spy.call_count == 1
-        expected = hermitian._eigh(hermitian.validate_hermitian(matrix), DEFAULT_TOLS, True)
-        assert np.array_equal(state.spectral.w, expected.w)
-        assert np.array_equal(state.spectral.v, expected.v)
+        assert spy.call_count == 1 and eigh.call_count == 1
+        w, v = np.linalg.eigh(hermitian.validate_hermitian(matrix))
+        assert np.array_equal(state.w, np.where(w[::-1] < DEFAULT_TOLS.eps_supp, 0.0, w[::-1]))
+        assert np.array_equal(state.v, v[:, ::-1])
+
+    def test_one_name_per_datum(self):
+        state = density_state(np.diag([0.25, 0.75]))
+        assert [f.name for f in dataclasses.fields(state)] == ["w", "v"]
+        assert not hasattr(state, "spectral") and not hasattr(state, "eigenvalues")
 
     def test_support_of_rank_deficient_state(self):
         state = density_state(np.diag([0.5, 0.5, 0.0]))
@@ -231,7 +231,7 @@ class TestDensityState:
 
     def test_tiny_negative_eigenvalues_are_zeroed(self):
         state = density_state(np.diag([1.0 + 2e-10, -2e-10]))
-        assert state.eigenvalues[-1] == 0.0
+        assert state.w[-1] == 0.0
 
     def test_as_rank_one(self):
         rng = rng_for(11)

@@ -19,7 +19,6 @@ import pytest
 from statediv import (
     DEFAULT_TOLS,
     DensityState,
-    SpectralDecomposition,
     SymmetryOp,
     ValidationError,
     conjugation_oracle,
@@ -59,13 +58,13 @@ def _images(dim: int, rng) -> list[DensityState]:
 
 
 def _assert_consistent(state: DensityState) -> None:
-    w, v = state.spectral.w, state.spectral.v
+    w, v = state.w, state.v
     exact = np.sort(np.linalg.eigvalsh(state.matrix))[::-1]
     assert np.all(np.diff(w) <= 0.0)
     np.testing.assert_array_equal(w == 0.0, exact < EPS)
     np.testing.assert_allclose(w, exact, rtol=0.0, atol=1e-12)
     np.testing.assert_allclose(v.conj().T @ v, np.eye(state.dim), rtol=0.0, atol=1e-12)
-    np.testing.assert_allclose(state.spectral.reconstruct(), state.matrix, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(state.reconstruct(), state.matrix, rtol=0.0, atol=1e-12)
 
 
 class TestAttachedDecompositions:
@@ -85,7 +84,7 @@ class TestAttachedDecompositions:
         for anti in (False, True):
             op = SymmetryOp(matrix=haar_unitary(5, rng), antiunitary=anti)
             image = op.apply_state(state)
-            np.testing.assert_array_equal(image.spectral.w, state.spectral.w)
+            np.testing.assert_array_equal(image.w, state.w)
             expected = op.apply_matrix(state.matrix)
             np.testing.assert_array_equal(image.matrix, (expected + expected.conj().T) / 2)
 
@@ -123,8 +122,8 @@ class TestStackedSampler:
         for a, b, (matrix, w, v) in zip(stacked, single, reference):
             for state in (a, b):
                 assert state.matrix.tobytes() == matrix.tobytes()
-                assert state.spectral.w.tobytes() == w.tobytes()
-                assert state.spectral.v.tobytes() == v.tobytes()
+                assert state.w.tobytes() == w.tobytes()
+                assert state.v.tobytes() == v.tobytes()
         assert len({rng.integers(2**62) for rng in rngs}) == 1  # the same draws were consumed
 
     def test_no_states_draw_nothing(self):
@@ -198,8 +197,7 @@ class TestRankOneRule:
         tols = DEFAULT_TOLS.replace(tol_num=1.0)
         w = np.array([0.6, second, 0.0])
         assert np.diff(np.append(_cluster_starts(w, CT), len(w)))[0] == multiplicity
-        spectral = SpectralDecomposition(w=w, v=np.eye(3, dtype=complex))
-        state = DensityState(matrix=np.diag(w).astype(complex), spectral=spectral)
+        state = DensityState(w, np.eye(3, dtype=complex), matrix=np.diag(w).astype(complex))
         if multiplicity == 1:
             assert state.as_rank_one(tols).dim == 3
         else:

@@ -58,7 +58,7 @@ class TestSameBits:
     def test_from_orthonormal(self, dim, k):
         state = _orthonormal(dim, k, rng_for(dim + 10 * k))
         assert not _built(state)
-        v, w = state.spectral.v, state.spectral.w
+        v, w = state.v, state.w
         assert _same_bits(state.matrix, hermitian_part((v[:, :k] * w[:k]) @ v[:, :k].conj().T))
 
     @pytest.mark.parametrize("dim", DIMS)
@@ -92,7 +92,7 @@ class TestBuiltOnlyWhenRead:
     def test_spectral_reads_build_nothing(self, dim):
         for state in self._lazy_states(dim):
             assert state.dim == dim
-            assert state.eigenvalues[0] > 0.0
+            assert state.w[0] > 0.0
             assert state.rank >= 1
             if state.rank == 1:
                 assert state.as_rank_one().dim == dim
@@ -114,7 +114,7 @@ class TestBuiltOnlyWhenRead:
             return state.matrix.copy()
 
         for _ in range(20):
-            lazy = DensityState._built_on_read(slow_build, state.spectral)
+            lazy = DensityState._built_on_read(slow_build, state.w, state.v)
             barrier = threading.Barrier(8)
             read: list[np.ndarray] = []
 
@@ -139,7 +139,7 @@ class TestBuiltOnlyWhenRead:
     def test_an_eager_state_keeps_its_matrix(self):
         state = random_state(4, rng=rng_for(1))
         assert _built(state)
-        assert DensityState(matrix=state.matrix, spectral=state.spectral).matrix is state.matrix
+        assert DensityState(state.w, state.v, matrix=state.matrix).matrix is state.matrix
 
 
 class TestVerifyBuildsNoProbeMatrix:

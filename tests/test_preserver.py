@@ -17,7 +17,6 @@ from statediv import (
     PreserverOracle,
     RangeError,
     RankOneProjection,
-    SpectralDecomposition,
     SymmetryOp,
     ValidationError,
     bregman,
@@ -637,7 +636,7 @@ class TestVerifyPreserver:
                 return state
             matrix = state.matrix.copy()
             matrix[0, 0] = math.nan
-            return DensityState(matrix=matrix, spectral=state.spectral)
+            return DensityState(state.w, state.v, matrix=matrix)
 
         oracle = PreserverOracle(dim=3, mapping=mapping, label="nan-matrix")
         outcome = verify_preserver(QUAD, oracle, "bregman", sample_size=4, seed=1)
@@ -743,9 +742,9 @@ class TestOracles:
     @pytest.mark.parametrize("bad", NON_FINITE)
     def test_oracle_rejects_non_finite_eigenvalues(self, bad):
         def mapping(state):  # the matrix is intact; one eigenvalue is not finite
-            w = state.spectral.w.copy()
+            w = state.w.copy()
             w[-1] = bad
-            return DensityState(matrix=state.matrix, spectral=SpectralDecomposition(w=w, v=state.spectral.v))
+            return DensityState(w, state.v, matrix=state.matrix)
 
         oracle = PreserverOracle(dim=3, mapping=mapping, label="non-finite")
         with pytest.raises(OracleError, match="non-finite eigenvalues"):

@@ -24,7 +24,6 @@ from statediv import (
     DensityState,
     NotAPreserverError,
     RankOneProjection,
-    SpectralDecomposition,
     SymmetryOp,
     bregman,
     bregman_trace_form,
@@ -98,7 +97,7 @@ def _resolution(y) -> float:
     is of size 1/b (for xlogx: (a - b) f''(b)), so H is resolved to
     d * 1e-15 / b_min beyond the usual 1e-9.
     """
-    return 1e-9 + y.dim * 1e-15 / y.spectral.w[y.spectral.w > 0.0].min()
+    return 1e-9 + y.dim * 1e-15 / y.w[y.w > 0.0].min()
 
 
 @given(state_pairs())
@@ -242,14 +241,14 @@ def test_rank_two_spectrum_equals_reference_bisection(f, fraction, path):
 def _one_pair_bregman(f, x, y) -> float:
     """The one-pair double sum of bregman, written out as the reference."""
     f = normalize(f)
-    inner = x.spectral.v.conj().T @ y.spectral.v
+    inner = x.v.conj().T @ y.v
     weights = inner.real**2 + inner.imag**2
     n = y.dim
     if not f.finite_zero_slope:
-        if x.spectral.w @ weights[:, y.rank :].sum(axis=1) >= EPS:
+        if x.w @ weights[:, y.rank :].sum(axis=1) >= EPS:
             return math.inf
         n = y.rank
-    a, b, weights = x.spectral.w[:, None], y.spectral.w[:n], weights[:, :n]
+    a, b, weights = x.w[:, None], y.w[:n], weights[:, :n]
     terms = (f.values(a) - f.values(b) - f.slopes(b) * (a - b)) * weights
     return _clamp_nonneg(terms.sum(where=weights >= DEFAULT_TOLS.tol_num**2), DEFAULT_TOLS.tol_num)
 
@@ -257,11 +256,11 @@ def _one_pair_bregman(f, x, y) -> float:
 def _one_pair_jensen(f, a, b) -> float:
     """The one-pair midpoint spectrum and trace sums of jensen, written out as the reference."""
     f = normalize(f)
-    if a.spectral.v is b.spectral.v:
-        mid = (a.spectral.w + b.spectral.w) / 2.0
+    if a.v is b.v:
+        mid = (a.w + b.w) / 2.0
     else:
-        mid = np.maximum(np.linalg.eigvalsh((a.spectral.reconstruct() + b.spectral.reconstruct()) / 2.0), 0.0)
-    fa, fb, fm = (float(f.values(w).sum()) for w in (a.spectral.w, b.spectral.w, mid))
+        mid = np.maximum(np.linalg.eigvalsh((a.reconstruct() + b.reconstruct()) / 2.0), 0.0)
+    fa, fb, fm = (float(f.values(w).sum()) for w in (a.w, b.w, mid))
     return _clamp_nonneg(0.5 * (fa + fb) - fm, DEFAULT_TOLS.tol_num)
 
 
@@ -269,7 +268,7 @@ def _on_basis(spectrum: np.ndarray, v: np.ndarray) -> DensityState:
     """The state with eigenvector array ``v`` itself attached, zeros decided."""
     w = np.sort(spectrum)[::-1]
     w[w < EPS] = 0.0
-    return DensityState(matrix=(v * w) @ v.conj().T, spectral=SpectralDecomposition(w=w, v=v))
+    return DensityState(w, v, matrix=(v * w) @ v.conj().T)
 
 
 @st.composite
@@ -288,7 +287,7 @@ def pair_stacks(draw):
         elif relation == "permuted":
             y = _state(draw(spectra(dim)), basis[:, draw(st.permutations(range(dim)))])
         elif relation == "shared":
-            y = _on_basis(draw(spectra(dim)), x.spectral.v)
+            y = _on_basis(draw(spectra(dim)), x.v)
         else:
             y = x
         if draw(st.booleans()):
@@ -325,7 +324,7 @@ def test_stacked_divergences_cover_every_branch():
     dim = 8
     full = random_state(dim, rng=rng)
     low = random_state(dim, 3, rng=rng)
-    nested = _on_basis(np.array([0.5, 0.3, 0.2] + [0.0] * (dim - 3)), low.spectral.v)
+    nested = _on_basis(np.array([0.5, 0.3, 0.2] + [0.0] * (dim - 3)), low.v)
     pure = random_pure(dim, rng).to_state()
     xs = [full, nested, full, pure, low, full, nested]
     ys = [random_state(dim, rng=rng), low, low, pure, nested, full, nested]

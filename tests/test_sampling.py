@@ -37,7 +37,7 @@ class TestRandomState:
 
     def test_eigenvalue_floor(self):
         state = random_state(4, rng=rng_for(33), eigenvalue_floor=1e-2)
-        nonzero = state.eigenvalues[state.eigenvalues > 0]
+        nonzero = state.w[state.w > 0]
         assert nonzero.min() > 1e-3
 
     def test_bad_rank_rejected(self):
