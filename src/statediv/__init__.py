@@ -26,8 +26,6 @@ from .hermitian import (
 from .generators import (
     GeneratorFunction,
     GeneratorValidationReport,
-    NormalizedGenerator,
-    normalize,
     parse_generator,
     power_generator,
     quadratic,

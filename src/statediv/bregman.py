@@ -22,7 +22,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLS, Tolerances
 from .errors import DimensionMismatchError, ParameterError, ValidationError
-from .generators import GeneratorFunction, NormalizedGenerator, normalize
+from .generators import GeneratorFunction
 from .hermitian import (
     DensityState,
     RankOneProjection,
@@ -87,11 +87,11 @@ def bregman(
     are skipped: orthogonal eigenvectors come out with overlaps of rounding
     size, and skipping them makes H_f(X, X) exactly 0.
     """
-    return _bregman_pairs(normalize(f), [x], [y], tols)[0]
+    return _bregman_pairs(f, [x], [y], tols)[0]
 
 
 def _bregman_pairs(
-    f: NormalizedGenerator, xs: Sequence[DensityState], ys: Sequence[DensityState], tols: Tolerances
+    f: GeneratorFunction, xs: Sequence[DensityState], ys: Sequence[DensityState], tols: Tolerances
 ) -> list[float]:
     """H_f(xs[k], ys[k]) for every k, as in :func:`bregman`, its one-pair case.
 
@@ -112,7 +112,7 @@ def _bregman_pairs(
 
 
 def _double_sums(
-    f: NormalizedGenerator, xs: Sequence[DensityState], ys: Sequence[DensityState], n: int, tols: Tolerances
+    f: GeneratorFunction, xs: Sequence[DensityState], ys: Sequence[DensityState], n: int, tols: Tolerances
 ) -> np.ndarray:
     """The double sums over the first n eigenvalues of each Y; ``inf`` where X leaks
     into the kernel of Y (n < d, the infinite class).
@@ -152,7 +152,6 @@ def bregman_trace_form(
     finite-derivative regime).  Kept public because the two routes
     cross-check each other.
     """
-    f = normalize(f)
     _check_dims(x, y)
     finite = f.finite_zero_slope
     if not finite and not support_contained(x, y, tols=tols):
@@ -178,7 +177,6 @@ def bregman_rank_one_pair(
     In the infinite-derivative regime distinct rank-one supports are never
     nested, so the value is 0 for P = Q and +inf otherwise.
     """
-    f = normalize(f)
     overlap = transition_probability(p, q)
     if 1.0 - overlap < tols.tol_num:
         return 0.0
@@ -189,7 +187,6 @@ def bregman_rank_one_pair(
 
 def rank_two_offset(f: GeneratorFunction, lam: float) -> float:
     """The constant c = lam f'(lam) - f(lam) + mu f'(mu) - f(mu), mu = 1 - lam."""
-    f = normalize(f)
     _check_lambda(lam)
     mu = 1.0 - lam
     return lam * f.slope(lam) - f(lam) + mu * f.slope(mu) - f(mu)
@@ -215,7 +212,6 @@ def bregman_rank_one_vs_rank_two(
     infinite-derivative regime and the closed form simply does not apply in
     the finite one.
     """
-    f = normalize(f)
     _check_lambda(lam)
     if transition_probability(p, q) >= tols.tol_num:
         raise ParameterError("reference projections P and Q must be orthogonal")

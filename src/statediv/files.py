@@ -168,14 +168,16 @@ def read_probe_images(
     path: "str | Path", tols: Tolerances = DEFAULT_TOLS
 ) -> list[RankOneProjection]:
     """Read probe images; entries may appear in any order but must cover the
-    canonical label set exactly.  Each image must validate as a pure state and
-    keeps its matrix as read."""
+    canonical label set exactly: 2 dim distinct known labels.  Each image must
+    validate as a pure state and keeps its matrix as read."""
     obj = _load_json(path)
     dim = _read_dim(obj, path)
-    labels = probe_labels(dim)
     entries = obj.get("images")
     if not isinstance(entries, list):
         raise FileFormatError(f"{path}: 'images' must be a list")
+    if len(entries) != 2 * dim:
+        raise FileFormatError(f"{path}: a dim-{dim} probe file needs {2 * dim} images, got {len(entries)}")
+    labels = probe_labels(dim)
     by_label: dict[str, RankOneProjection] = {}
     for entry in entries:
         if not isinstance(entry, dict) or "label" not in entry:
@@ -189,9 +191,6 @@ def read_probe_images(
         state = DensityState.from_matrix(matrix, tols)
         vector = state.as_rank_one(tols).vector
         by_label[label] = RankOneProjection(vector=vector, source_matrix=state.matrix)
-    missing = [label for label in labels if label not in by_label]
-    if missing:
-        raise FileFormatError(f"{path}: missing probe images for {missing}")
     return [by_label[label] for label in labels]
 
 

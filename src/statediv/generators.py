@@ -23,8 +23,6 @@ from .errors import DomainError, ParameterError
 
 __all__ = [
     "GeneratorFunction",
-    "NormalizedGenerator",
-    "normalize",
     "std_entropy",
     "power_generator",
     "quadratic",
@@ -47,6 +45,12 @@ class GeneratorFunction:
     ``slopes`` evaluate whole arrays.  ``value_at_zero`` and ``slope_at_zero``
     are the declared limits f(0+) and f'(0+), the latter possibly ``-inf``.
 
+    Affine shifts change neither the Bregman nor the Jensen divergence, so a
+    generator is shifted when it is built, to f(0) = f(1) = 0: the fields
+    hold f(x) - f(0) - (f(1) - f(0)) x and its derivative.  A generator that
+    already satisfies both keeps ``fn`` and ``dfn`` as given, so
+    ``dataclasses.replace`` does not shift again.
+
     ``values(x)`` and ``f(x)`` can differ in the last bit: ``x**q`` is numpy's
     vectorised ``pow`` on arrays and libm ``pow`` on floats (for power
     generators a few percent of points on [0, 1] differ).  A route that must
@@ -59,6 +63,20 @@ class GeneratorFunction:
     value_at_zero: float
     slope_at_zero: float
     matrix_entropy_member: bool = False
+
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.value_at_zero):
+            raise DomainError(f"generator {self.name!r} has no finite limit at 0; cannot normalize")
+        beta = self.value_at_zero
+        alpha = self.fn(1.0) - beta
+        if beta == 0.0 and alpha == 0.0:
+            return
+        base_fn, base_dfn = self.fn, self.dfn
+        object.__setattr__(self, "fn", lambda x: base_fn(x) - beta - alpha * x)
+        object.__setattr__(self, "dfn", lambda x: base_dfn(x) - alpha)
+        object.__setattr__(self, "value_at_zero", 0.0)
+        if math.isfinite(self.slope_at_zero):
+            object.__setattr__(self, "slope_at_zero", self.slope_at_zero - alpha)
 
     def __call__(self, x: float) -> float:
         """f(x), using the declared limit at x = 0."""
@@ -96,42 +114,9 @@ class GeneratorFunction:
         return math.isfinite(self.slope_at_zero)
 
 
-@dataclass(frozen=True)
-class NormalizedGenerator(GeneratorFunction):
-    """A generator shifted by an affine function so that f(0) = f(1) = 0.
-
-    Affine shifts change neither the Bregman nor the Jensen divergence, so
-    every engine works with this normalized form.
-    """
-
-
-def normalize(f: GeneratorFunction) -> NormalizedGenerator:
-    """Subtract the affine interpolant through (0, f(0)) and (1, f(1)).
-
-    The result satisfies result(0) = result(1) = 0 exactly; the derivative is
-    shifted by the constant f(1) - f(0).  Idempotent.
-    """
-    if isinstance(f, NormalizedGenerator):
-        return f
-    if not math.isfinite(f.value_at_zero):
-        raise DomainError(f"generator {f.name!r} has no finite limit at 0; cannot normalize")
-    beta = f.value_at_zero
-    alpha = f.fn(1.0) - beta
-    base_fn, base_dfn = f.fn, f.dfn
-    slope_at_zero = f.slope_at_zero if not math.isfinite(f.slope_at_zero) else f.slope_at_zero - alpha
-    return NormalizedGenerator(
-        name=f.name,
-        fn=lambda x: base_fn(x) - beta - alpha * x,
-        dfn=lambda x: base_dfn(x) - alpha,
-        value_at_zero=0.0,
-        slope_at_zero=slope_at_zero,
-        matrix_entropy_member=f.matrix_entropy_member,
-    )
-
-
-def std_entropy() -> NormalizedGenerator:
+def std_entropy() -> GeneratorFunction:
     """f(x) = x log x; f(0) = 0, f'(0+) = -inf.  Generates the Umegaki relative entropy."""
-    return NormalizedGenerator(
+    return GeneratorFunction(
         name="xlogx",
         fn=lambda x: x * np.log(x),
         dfn=lambda x: np.log(x) + 1.0,
@@ -141,7 +126,7 @@ def std_entropy() -> NormalizedGenerator:
     )
 
 
-def power_generator(q: float) -> NormalizedGenerator:
+def power_generator(q: float) -> GeneratorFunction:
     """f_q(x) = (x^q - x)/(q - 1) for q > 1; f'(0) = -1/(q - 1).
 
     Belongs to the matrix entropy class for q <= 2 (declared, not verified).
@@ -151,7 +136,7 @@ def power_generator(q: float) -> NormalizedGenerator:
         raise ParameterError(f"power generator requires q > 1, got q = {q!r}")
     denom = q - 1.0
     name = "quadratic" if q == 2.0 else f"power(q={q:g})"
-    return NormalizedGenerator(
+    return GeneratorFunction(
         name=name,
         fn=lambda x: (x**q - x) / denom,
         dfn=lambda x: (q * x ** (q - 1.0) - 1.0) / denom,
@@ -161,12 +146,12 @@ def power_generator(q: float) -> NormalizedGenerator:
     )
 
 
-def quadratic() -> NormalizedGenerator:
+def quadratic() -> GeneratorFunction:
     """f(x) = x^2 - x; the induced Bregman divergence is tr (A - B)^2."""
     return power_generator(2.0)
 
 
-def parse_generator(spec: str) -> NormalizedGenerator:
+def parse_generator(spec: str) -> GeneratorFunction:
     """Parse a CLI generator name: ``xlogx``, ``quadratic``, ``power:q=<rational>``."""
     spec = spec.strip()
     if spec == "xlogx":

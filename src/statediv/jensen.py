@@ -1,9 +1,9 @@
 """Jensen divergence engine.
 
-J_f(A, B) = tr( (f(A) + f(B))/2 - f((A + B)/2) ).  Finite whenever f has a
-finite limit at 0 -- the zero-derivative class is never consulted -- and
-symmetric by construction.  The maximum over state pairs is M_f = -2 f(1/2),
-attained exactly at orthogonal pure state pairs.
+J_f(A, B) = tr( (f(A) + f(B))/2 - f((A + B)/2) ).  Always finite, since every
+generator is built with f(0) = 0 -- the zero-derivative class is never
+consulted -- and symmetric by construction.  The maximum over state pairs is
+M_f = -2 f(1/2), attained exactly at orthogonal pure state pairs.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .config import DEFAULT_TOLS, Tolerances
-from .errors import DomainError, ParameterError
-from .generators import GeneratorFunction, NormalizedGenerator, normalize
+from .errors import ParameterError
+from .generators import GeneratorFunction
 from .hermitian import DensityState, hermitian_part
 from .bregman import _check_dims, _clamp_nonneg, bregman
 
@@ -26,11 +26,6 @@ __all__ = [
     "jensen_via_bregman",
     "midpoint_state",
 ]
-
-
-def _require_finite_at_zero(f: GeneratorFunction) -> None:
-    if not math.isfinite(f.value_at_zero):
-        raise DomainError(f"generator {f.name!r} has no finite limit at 0; Jensen divergence undefined")
 
 
 def _midpoint_matrix(a: DensityState, b: DensityState) -> np.ndarray:
@@ -66,11 +61,11 @@ def jensen(
     When A and B share one eigenvector array the midpoint spectrum is
     (w_A + w_B)/2, so J_f(A, A) is exactly 0.
     """
-    return _jensen_pairs(normalize(f), [a], [b], tols)[0]
+    return _jensen_pairs(f, [a], [b], tols)[0]
 
 
 def _jensen_pairs(
-    f: NormalizedGenerator, xs: Sequence[DensityState], ys: Sequence[DensityState], tols: Tolerances
+    f: GeneratorFunction, xs: Sequence[DensityState], ys: Sequence[DensityState], tols: Tolerances
 ) -> list[float]:
     """J_f(xs[k], ys[k]) for every k, as in :func:`jensen`, its one-pair case.
 
@@ -78,7 +73,6 @@ def _jensen_pairs(
     and go through one stacked ``eigvalsh``; the generator is evaluated
     once on the stack of all spectra.
     """
-    _require_finite_at_zero(f)
     for x, y in zip(xs, ys):
         _check_dims(x, y)
     wx = np.array([x.w for x in xs])
@@ -101,7 +95,6 @@ def jensen_rank_one(
     p = 1.  ``p`` may be an array of values; the result is then an array too,
     each entry the float call on it (``_per_distinct``).
     """
-    f = normalize(f)
     low, high = -tols.tol_num, 1.0 + tols.tol_num
 
     def value(x: float) -> float:
@@ -113,7 +106,7 @@ def jensen_rank_one(
 
 
 def _rank_one_value(f: GeneratorFunction, p: float) -> float:
-    """``jensen_rank_one`` for a normalized ``f`` and a float p in [0, 1], unchecked.
+    """``jensen_rank_one`` for a float p in [0, 1], unchecked.
 
     It calls the scalar generator, not ``f.values``: numpy's and libm's ``pow`` can differ in the last bit.
     """
@@ -134,7 +127,6 @@ def _per_distinct(fn: Callable[[float], float], x: np.ndarray) -> "float | np.nd
 
 def jensen_max_constant(f: GeneratorFunction) -> float:
     """M_f = -2 f(1/2): the global maximum of J_f over state pairs."""
-    f = normalize(f)
     return -2.0 * f(0.5)
 
 
@@ -150,8 +142,6 @@ def jensen_via_bregman(
     Both supports are contained in the midpoint support, so the Bregman calls
     are finite regardless of the generator's zero-derivative class.
     """
-    f = normalize(f)
-    _require_finite_at_zero(f)
     mid = midpoint_state(a, b)
     left = bregman(f, a, mid, tols=tols)
     right = bregman(f, b, mid, tols=tols)

@@ -26,7 +26,7 @@ from .errors import (
     RangeError,
     ValidationError,
 )
-from .generators import GeneratorFunction, NormalizedGenerator, normalize
+from .generators import GeneratorFunction
 from .hermitian import (
     DensityState,
     RankOneProjection,
@@ -92,9 +92,10 @@ class SymmetryOp:
         cls, matrix: np.ndarray, antiunitary: bool = False, tols: Tolerances = DEFAULT_TOLS
     ) -> "SymmetryOp":
         matrix = _finite_square(matrix)
-        gram = matrix @ matrix.conj().T
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = matrix @ matrix.conj().T
         deviation = float(np.max(np.abs(gram - np.eye(matrix.shape[0]))))
-        if deviation > tols.tol_num:
+        if not deviation <= tols.tol_num:  # NaN where the product overflows
             raise ValidationError(f"matrix is not unitary: max |U U* - I| = {deviation:.3e}")
         return cls(matrix=matrix, antiunitary=antiunitary)
 
@@ -226,7 +227,6 @@ def transition_from_bregman(
     infinite f'(0) the rank-one Bregman value is 0 or +inf and carries no
     transition information; use the rank-two route instead.
     """
-    f = normalize(f)
     if not f.finite_zero_slope:
         raise ParameterError(
             f"generator {f.name!r} has f'(0+) = -inf; recover transitions through "
@@ -248,7 +248,6 @@ def transition_from_jensen(
     ``j`` may be an array of values; the result is then an array too, each
     entry the float call on it (``jensen._per_distinct``).
     """
-    f = normalize(f)
     m_f = jensen_max_constant(f)
     j = np.clip(_checked("Jensen value", j, 0.0, m_f, tols), 0.0, m_f)
     # J decreases from M_f at p = 0 to 0 at p = 1.
@@ -264,7 +263,6 @@ def transition_from_bregman_rank_two(
     rank-one pairs only yield 0 or +inf.  ``value`` may be an array of values;
     the result is then an array too.
     """
-    f = normalize(f)
     _check_lambda(lam)
     mu = 1.0 - lam
     slope_lam, slope_mu = f.slope(lam), f.slope(mu)
@@ -282,7 +280,6 @@ def recover_rank_two_spectrum(f: GeneratorFunction, delta: float) -> float:
     determines the rank-two spectrum {lam, 1 - lam} uniquely; solved by
     bisection on [BRACKET_EPS, 1/2 - BRACKET_EPS].
     """
-    f = normalize(f)
     if not (delta > 0.0 and math.isfinite(delta)):
         raise RangeError(f"spectral gap value must be positive and finite, got {delta!r}")
 
@@ -328,7 +325,6 @@ def max_divergence_functional(f: GeneratorFunction, x: DensityState) -> float:
     v = u_j the value is term_img[j] - term_ker[j] + sum_k term_ker[k], with
     the terms below for the eigenvalues a_k of X.
     """
-    f = normalize(f)
     if not f.finite_zero_slope:
         raise ParameterError(
             f"generator {f.name!r} has f'(0+) = -inf; M(X) is infinite off full rank"
@@ -512,7 +508,7 @@ def rank_two_mixture(
     return DensityState.from_orthonormal([1.0 - lam, lam], [q.vector, p.vector])
 
 
-def _pair_divergences(f: NormalizedGenerator, p: np.ndarray, kind: str, tols: Tolerances) -> np.ndarray:
+def _pair_divergences(f: GeneratorFunction, p: np.ndarray, kind: str, tols: Tolerances) -> np.ndarray:
     """Divergence values of pure pairs with transition probabilities ``p``, from closed forms.
 
     * Jensen: ``jensen_rank_one``.
@@ -552,7 +548,6 @@ def probe_transitions_via_divergence(
     rank-one Bregman values are 0/inf there and carry no transition information.  A pair with
     1 - tr RP < tol_num has no such Q and is taken as transition 1.
     """
-    f = normalize(f)
     if kind not in ("bregman", "jensen"):
         raise ParameterError(f"kind must be 'bregman' or 'jensen', got {kind!r}")
     rows, cols = np.triu_indices(len(family), 1)
@@ -677,7 +672,6 @@ def verify_preserver(
     are pure, reconstructs the implementing operator from them, and measures
     how far the map is from conjugation by it.
     """
-    f = normalize(f)
     if kind not in ("bregman", "jensen"):
         raise ParameterError(f"kind must be 'bregman' or 'jensen', got {kind!r}")
     if sample_size < 0:

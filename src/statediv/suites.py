@@ -31,7 +31,7 @@ from .bregman import (
 from .config import DEFAULT_TOLS, Tolerances
 from .errors import ParameterError
 from .files import json_value
-from .generators import NormalizedGenerator, parse_generator
+from .generators import GeneratorFunction, parse_generator
 from .hermitian import DensityState, RankOneProjection, transition_probability
 from .jensen import _jensen_pairs, jensen_max_constant, jensen_rank_one, jensen_via_bregman
 from .preserver import (
@@ -145,7 +145,7 @@ def _within(name: str, devs, tol: float) -> CheckResult:
 
 
 def _suite_closed_forms(
-    report: RunReport, dims, generators: dict[str, NormalizedGenerator], seed: int, tols: Tolerances
+    report: RunReport, dims, generators: dict[str, GeneratorFunction], seed: int, tols: Tolerances
 ) -> None:
     samples = 20
     quad = parse_generator("quadratic")
@@ -227,7 +227,7 @@ def _suite_closed_forms(
 
 
 def _suite_preserver(
-    report: RunReport, dims, generators: dict[str, NormalizedGenerator], seed: int, tols: Tolerances
+    report: RunReport, dims, generators: dict[str, GeneratorFunction], seed: int, tols: Tolerances
 ) -> None:
     lam_grid = np.linspace(0.02, 0.48, 12)
     probes = wigner_probes(max(dims))
@@ -314,7 +314,7 @@ def _suite_preserver(
 
 
 def _suite_convexity(
-    report: RunReport, dims, generators: dict[str, NormalizedGenerator], seed: int, tols: Tolerances
+    report: RunReport, dims, generators: dict[str, GeneratorFunction], seed: int, tols: Tolerances
 ) -> None:
     samples = 40
     gaps = {label: [] for label in generators}

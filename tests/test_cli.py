@@ -128,6 +128,14 @@ class TestFileErrors:
         assert main(argv) == 3
         assert "'dim' must be a positive integer, got True" in _one_error_line(capsys)
 
+    def test_probe_file_dim_is_bounded_by_its_images(self, tmp_path, capsys):
+        path = tmp_path / "probes.json"
+        path.write_text(json.dumps({"dim": 1000000, "images": []}))
+        assert main(["reconstruct", str(path), "-o", str(tmp_path / "op.json")]) == 3
+        line = _one_error_line(capsys)
+        assert "needs 2000000 images, got 0" in line
+        assert len(line.encode()) <= 200
+
     def test_non_utf8_file_exits_3(self, tmp_path, basis_states, capsys):
         e1, _ = basis_states
         latin1 = tmp_path / "latin1.json"
@@ -267,6 +275,19 @@ class TestTable:
 
 
 class TestReconstructAndVerify:
+    @pytest.mark.parametrize(
+        "re, im",
+        [([[1, 1], [1, 1e200]], [[0, 0], [0, 1e200]]), ([[1e200, 0], [0, 1]], [[0, 0], [0, 0]])],
+        ids=["nan", "inf"],
+    )
+    def test_overflowing_operator_file_exits_4(self, tmp_path, capsys, re, im):
+        # U U* of these files overflows; the unitarity gate must still refuse them.
+        path = tmp_path / "op.json"
+        path.write_text(json.dumps({"dim": 2, "antiunitary": False, "re": re, "im": im}))
+        argv = ["verify", "--kind", "bregman", "--f", "quadratic", "--oracle", f"conjugate:{path}", "--dim", "2"]
+        assert main(argv) == 4
+        assert "matrix is not unitary" in _one_error_line(capsys)
+
     def test_probes_refuses_an_image_with_non_finite_eigenvalues(self, tmp_path, monkeypatch, capsys):
         def mapping(state):  # the matrix is intact; one eigenvalue is NaN
             w = state.w.copy()

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,6 @@ from statediv import (
     DomainError,
     GeneratorFunction,
     ParameterError,
-    normalize,
     parse_generator,
     power_generator,
     quadratic,
@@ -63,54 +63,63 @@ class TestCatalog:
 
 
 class TestNormalize:
+    """A generator is shifted to f(0) = f(1) = 0 when it is built."""
+
     def test_square_becomes_quadratic(self):
         # Subtracting the affine interpolant through (0,0),(1,1) turns x^2
         # into x^2 - x.
-        raw = GeneratorFunction(
+        g = GeneratorFunction(
             name="square",
             fn=lambda x: x**2,
             dfn=lambda x: 2 * x,
             value_at_zero=0.0,
             slope_at_zero=0.0,
         )
-        g = normalize(raw)
         for x in np.linspace(0.0, 4.0, 40):
             assert g(x) == pytest.approx(x**2 - x, abs=1e-13)
             assert g.slope(x) == pytest.approx(2 * x - 1, abs=1e-13)
+        assert (g.value_at_zero, g.slope_at_zero) == (0.0, -1.0)
 
     def test_exact_zeros_at_endpoints(self):
-        raw = GeneratorFunction(
+        g = GeneratorFunction(
             name="shifted",
             fn=lambda x: x**2 + 3.0 + 0.7 * x,
             dfn=lambda x: 2 * x + 0.7,
             value_at_zero=3.0,
             slope_at_zero=0.7,
         )
-        g = normalize(raw)
         assert g(0.0) == 0.0
         assert g(1.0) == 0.0
 
     def test_catalog_members_already_normalized(self):
         for f in CATALOG:
-            g = normalize(f)
+            g = dataclasses.replace(f)
+            assert g.fn is f.fn and g.dfn is f.dfn
             for x in np.linspace(0.0, 3.0, 30):
-                assert g(x) == pytest.approx(f(x), abs=1e-14)
+                assert g(x) == f(x)
 
     def test_idempotent(self):
-        raw = GeneratorFunction(
+        once = GeneratorFunction(
             name="square",
             fn=lambda x: x**2,
             dfn=lambda x: 2 * x,
             value_at_zero=0.0,
             slope_at_zero=0.0,
         )
-        once = normalize(raw)
-        twice = normalize(once)
-        assert twice is once
+        twice = dataclasses.replace(once)
+        assert twice == once
+        assert twice.fn is once.fn and twice.dfn is once.dfn
 
     def test_infinite_slope_class_is_preserved(self):
-        g = normalize(std_entropy())
+        g = GeneratorFunction(
+            name="shifted-xlogx",
+            fn=lambda x: x * np.log(x) + 2.0 * x + 1.0,
+            dfn=lambda x: np.log(x) + 3.0,
+            value_at_zero=1.0,
+            slope_at_zero=float("-inf"),
+        )
         assert g.slope_at_zero == float("-inf")
+        assert not g.finite_zero_slope
 
 
 class TestValidate:

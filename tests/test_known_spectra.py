@@ -219,13 +219,19 @@ class TestResidualReuse:
 
 
 def test_importing_the_package_leaves_scipy_unloaded():
-    """Neither the import nor a whole suite run loads scipy."""
+    """Neither the import nor a whole suite run loads scipy, and the import
+    loads no installed module but numpy's."""
     code = (
-        "import contextlib, io, sys, statediv, statediv.cli\n"
+        "import contextlib, io, sys, sysconfig\n"
+        "before = set(sys.modules)\n"
+        "import statediv, statediv.cli\n"
+        "roots = tuple({sysconfig.get_path('purelib'), sysconfig.get_path('platlib')})\n"
+        "print(sorted(m for m in set(sys.modules) - before if m.split('.')[0] not in ('numpy', 'statediv')\n"
+        "             and (getattr(sys.modules[m], '__file__', None) or '').startswith(roots)))\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert statediv.cli.main(['suite', 'all', '--dims', '2']) == 0\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    assert result.stdout.splitlines() == ["[]", "[]"]

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import re
@@ -31,7 +32,6 @@ from statediv import (
     jensen_max_constant,
     jensen_rank_one,
     max_divergence_functional,
-    normalize,
     parse_generator,
     probe_labels,
     probe_transitions_via_divergence,
@@ -504,7 +504,7 @@ class TestClosedFormPairValues:
         probes = _family(family, dim)
         rows, cols = np.triu_indices(len(probes), 1)
         p = transition_table(probes)[rows, cols]
-        closed = _pair_divergences(normalize(f), p, kind, DEFAULT_TOLS)
+        closed = _pair_divergences(f, p, kind, DEFAULT_TOLS)
         checked = 0
         for a, b, value in zip(rows, cols, closed):
             r, q = probes[a], probes[b]
@@ -767,6 +767,18 @@ class TestOracles:
     def test_symmetry_op_rejects_an_empty_matrix(self):
         with pytest.raises(ValidationError, match="dimension must be at least 1"):
             SymmetryOp.from_matrix(np.zeros((0, 0)))
+
+    def test_symmetry_op_rejects_an_overflowing_gram_matrix(self):
+        # U U* overflows to inf, or to NaN where inf meets -inf or 0; either
+        # way the matrix is not unitary.  Only the two permutation matrices
+        # over these entries are.
+        big = 1e200
+        values = [big, -big, big * 1j, -big * 1j, big * (1 + 1j), big * (1 - 1j), 0.0, 1.0]
+        permutations = [(1.0, 0.0, 0.0, 1.0), (0.0, 1.0, 1.0, 0.0)]
+        for entries in itertools.product(values, repeat=4):
+            if entries not in permutations:
+                with pytest.raises(ValidationError, match="not unitary"):
+                    SymmetryOp.from_matrix(np.reshape(entries, (2, 2)))
 
     def test_symmetry_op_rejects_non_finite_entry(self):
         with pytest.raises(ValidationError, match=r"non-finite entries: \[1, 1\]"):

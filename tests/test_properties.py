@@ -12,6 +12,7 @@ Perturbed probe images of a conjugation either reconstruct within
 fixed in conftest.py.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 from statediv import (
     DEFAULT_TOLS,
     DensityState,
+    GeneratorFunction,
     NotAPreserverError,
     RankOneProjection,
     SymmetryOp,
@@ -33,7 +35,6 @@ from statediv import (
     jensen_max_constant,
     jensen_rank_one,
     jensen_via_bregman,
-    normalize,
     parse_generator,
     random_pure,
     random_state,
@@ -106,6 +107,30 @@ def test_zero_on_the_diagonal_and_nonnegative(pair):
     for f in GENERATORS:
         assert bregman(f, x, x) == pytest.approx(0.0, abs=1e-9)
         assert bregman(f, x, y) >= 0.0
+
+
+SHIFT_TOL = 1e-12
+
+
+@given(state_pairs(), st.floats(-4.0, 4.0), st.floats(-4.0, 4.0))
+def test_affine_shift_is_taken_out_when_the_generator_is_built(pair, beta, alpha):
+    # f + beta + alpha x has the divergences of f.  Built as a generator it is
+    # shifted back to g(0) = g(1) = 0; the shift is beta and f(1) + alpha,
+    # exact only up to rounding, so the values agree within SHIFT_TOL.
+    x, y, _ = pair
+    for f in GENERATORS:
+        g = GeneratorFunction(
+            name=f"{f.name}+affine",
+            fn=lambda t, f=f: f.fn(t) + beta + alpha * t,
+            dfn=lambda t, f=f: f.dfn(t) + alpha,
+            value_at_zero=beta,
+            slope_at_zero=f.slope_at_zero + alpha,
+            matrix_entropy_member=f.matrix_entropy_member,
+        )
+        assert g(0.0) == g(1.0) == 0.0
+        assert dataclasses.replace(g, name="h").fn is g.fn
+        for divergence in (bregman, jensen, bregman_trace_form):
+            assert _same(divergence(g, x, y), divergence(f, x, y), SHIFT_TOL)
 
 
 @given(state_pairs(), st.booleans())
@@ -207,7 +232,6 @@ def _gap(f, lam: float) -> float:
 
 def _spectrum_bisection(f, delta: float) -> float:
     """The bisection of recover_rank_two_spectrum, written out as the reference."""
-    f = normalize(f)
     lo, hi = BRACKET_EPS, 0.5 - BRACKET_EPS
     if delta < _gap(f, hi):
         return hi
@@ -228,19 +252,17 @@ def _spectrum_bisection(f, delta: float) -> float:
 def test_rank_two_spectrum_equals_reference_bisection(f, fraction, path):
     # A drawn share of the bracket's largest gap, and a tie: the gap at the
     # midpoint the bisection reaches by the steps in ``path``.
-    g = normalize(f)
     lo, hi = BRACKET_EPS, 0.5 - BRACKET_EPS
     for up in path:
         mid = 0.5 * (lo + hi)
         lo, hi = (mid, hi) if up else (lo, mid)
-    for delta in (fraction * _gap(g, BRACKET_EPS), _gap(g, 0.5 * (lo + hi))):
+    for delta in (fraction * _gap(f, BRACKET_EPS), _gap(f, 0.5 * (lo + hi))):
         if delta > 0.0:
             assert recover_rank_two_spectrum(f, delta) == _spectrum_bisection(f, delta)
 
 
 def _one_pair_bregman(f, x, y) -> float:
     """The one-pair double sum of bregman, written out as the reference."""
-    f = normalize(f)
     inner = x.v.conj().T @ y.v
     weights = inner.real**2 + inner.imag**2
     n = y.dim
@@ -255,7 +277,6 @@ def _one_pair_bregman(f, x, y) -> float:
 
 def _one_pair_jensen(f, a, b) -> float:
     """The one-pair midpoint spectrum and trace sums of jensen, written out as the reference."""
-    f = normalize(f)
     if a.v is b.v:
         mid = (a.w + b.w) / 2.0
     else:
@@ -304,7 +325,7 @@ def _bits(values) -> list[str]:
 @given(pair_stacks(), st.sampled_from(GENERATORS))
 def test_stacked_bregman_equals_one_pair_calls(stack, f):
     xs, ys = stack
-    stacked = _bregman_pairs(normalize(f), xs, ys, DEFAULT_TOLS)
+    stacked = _bregman_pairs(f, xs, ys, DEFAULT_TOLS)
     assert _bits(stacked) == _bits(bregman(f, x, y) for x, y in zip(xs, ys))
     assert _bits(stacked) == _bits(_one_pair_bregman(f, x, y) for x, y in zip(xs, ys))
 
@@ -312,7 +333,7 @@ def test_stacked_bregman_equals_one_pair_calls(stack, f):
 @given(pair_stacks(), st.sampled_from(GENERATORS))
 def test_stacked_jensen_equals_one_pair_calls(stack, f):
     xs, ys = stack
-    stacked = _jensen_pairs(normalize(f), xs, ys, DEFAULT_TOLS)
+    stacked = _jensen_pairs(f, xs, ys, DEFAULT_TOLS)
     assert _bits(stacked) == _bits(jensen(f, x, y) for x, y in zip(xs, ys))
     assert _bits(stacked) == _bits(_one_pair_jensen(f, x, y) for x, y in zip(xs, ys))
 
@@ -328,15 +349,15 @@ def test_stacked_divergences_cover_every_branch():
     pure = random_pure(dim, rng).to_state()
     xs = [full, nested, full, pure, low, full, nested]
     ys = [random_state(dim, rng=rng), low, low, pure, nested, full, nested]
-    xlogx = normalize(GENERATORS[0])
+    xlogx = GENERATORS[0]
     values = _bregman_pairs(xlogx, xs, ys, DEFAULT_TOLS)
     assert math.isinf(values[2]) and math.isfinite(values[1]) and values[3] == 0.0
     assert len({y.rank for y in ys}) == 3
     for f in GENERATORS:
-        assert _bits(_bregman_pairs(normalize(f), xs, ys, DEFAULT_TOLS)) == _bits(
+        assert _bits(_bregman_pairs(f, xs, ys, DEFAULT_TOLS)) == _bits(
             _one_pair_bregman(f, x, y) for x, y in zip(xs, ys)
         )
-        assert _bits(_jensen_pairs(normalize(f), xs, ys, DEFAULT_TOLS)) == _bits(
+        assert _bits(_jensen_pairs(f, xs, ys, DEFAULT_TOLS)) == _bits(
             _one_pair_jensen(f, x, y) for x, y in zip(xs, ys)
         )
 
