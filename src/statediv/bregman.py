@@ -26,8 +26,10 @@ from .generators import GeneratorFunction
 from .hermitian import (
     DensityState,
     RankOneProjection,
-    apply_function,
-    trace_on_support,
+    _assemble,
+    _function_values,
+    _stack,
+    hermitian_part,
     transition_probability,
 )
 
@@ -150,19 +152,53 @@ def bregman_trace_form(
     f(X) - f(Y) - f'(Y)(X - Y) as matrices, with X and Y taken with their
     zeros decided, and takes the trace on supp Y (the full trace in the
     finite-derivative regime).  Kept public because the two routes
-    cross-check each other.
+    cross-check each other.  The one-pair case of ``_trace_form_pairs``.
     """
-    _check_dims(x, y)
+    return _trace_form_pairs(f, [x], [y], tols)[0]
+
+
+def _trace_form_pairs(
+    f: GeneratorFunction, xs: Sequence[DensityState], ys: Sequence[DensityState], tols: Tolerances
+) -> list[float]:
+    """``bregman_trace_form`` of each pair, its one-pair case.
+
+    Pairs are grouped, as in ``_bregman_pairs``, by the number n of Y's
+    eigenvalues f' is taken on (d, or rank Y in the infinite class); each
+    group's support test, operator functions, products and traces are one
+    stack each, so each pair has the shapes, and the bits, of a one-pair
+    call.  In the infinite class a pair whose X leaks out of supp Y is
+    ``inf`` and evaluates no function.  A non-finite f value raises
+    ``DomainError`` for the first pair of its group that has one.
+    """
     finite = f.finite_zero_slope
-    if not finite and not support_contained(x, y, tols=tols):
-        return INF
-    n = y.dim if finite else y.rank  # the infinite class puts f' on supp Y only
-    dfy = (y.v[:, :n] * f.slopes(y.w[:n])) @ y.v[:, :n].conj().T
-    fx = apply_function(x, f.values)
-    fy = apply_function(y, f.values)
-    expr = fx - fy - dfy @ (x.reconstruct() - y.reconstruct())
-    value = float(np.trace(expr).real) if finite else trace_on_support(expr, y.support, tols=tols)
-    return _clamp_nonneg(value, tols.tol_num)
+    groups: dict[int, list[int]] = {}
+    for k, (x, y) in enumerate(zip(xs, ys)):
+        _check_dims(x, y)
+        groups.setdefault(y.dim if finite else y.rank, []).append(k)
+    values = [INF] * len(ys)
+    for n, ks in groups.items():
+        xv, yv = (_stack([states[k].v for k in ks]) for states in (xs, ys))
+        w = np.array([(xs[k].w, ys[k].w) for k in ks])
+        if not finite:  # as in support_contained
+            inner = xv.conj().swapaxes(1, 2) @ yv[:, :, n:]
+            leaks = w[:, None, 0] @ (inner.real**2 + inner.imag**2).sum(axis=2)[:, :, None]
+            kept = (leaks[:, 0, 0] < tols.eps_supp).tolist()
+            if not all(kept):
+                ks = [k for k, keep in zip(ks, kept) if keep]
+                if not ks:
+                    continue
+                xv, yv, w = xv[kept], yv[kept], w[kept]
+        fw = _function_values(f.values, w)
+        on = yv[:, :, :n]  # the eigenvectors f' is taken on
+        dfy = _assemble(on, f.slopes(w[:, 1, :n]))
+        expr = _assemble(xv, fw[:, 0]) - _assemble(yv, fw[:, 1])
+        expr -= dfy @ (_assemble(xv, w[:, 0]) - _assemble(yv, w[:, 1]))
+        if not finite:
+            support = hermitian_part(on @ on.conj().swapaxes(1, 2))
+            expr = support @ expr @ support
+        for k, value in zip(ks, np.trace(expr, axis1=1, axis2=2).real.tolist()):
+            values[k] = _clamp_nonneg(value, tols.tol_num)
+    return values
 
 
 def bregman_rank_one_pair(

@@ -67,8 +67,11 @@ class GeneratorFunction:
     def __post_init__(self) -> None:
         if not math.isfinite(self.value_at_zero):
             raise DomainError(f"generator {self.name!r} has no finite limit at 0; cannot normalize")
+        at_one = self.fn(1.0)
+        if not math.isfinite(at_one):
+            raise DomainError(f"generator {self.name!r} has value {float(at_one)!r} at 1; cannot normalize")
         beta = self.value_at_zero
-        alpha = self.fn(1.0) - beta
+        alpha = at_one - beta
         if beta == 0.0 and alpha == 0.0:
             return
         base_fn, base_dfn = self.fn, self.dfn
@@ -210,10 +213,11 @@ FD_GRID_LO = 1e-2
 def validate(f: GeneratorFunction, grid: Sequence[float] | None = None) -> GeneratorValidationReport:
     """Numerically audit a generator's declared hypotheses.
 
-    Checks strict convexity (midpoint rule) and strict monotonicity of the
-    derivative on the grid, consistency of ``dfn`` with centered finite
-    differences of ``fn``, and -- for finite declared f'(0+) -- that the
-    derivative approaches the declared limit monotonically from above.
+    Checks that f and f' are finite on the grid, strict convexity (midpoint
+    rule) and strict monotonicity of the derivative on the grid, consistency
+    of ``dfn`` with centered finite differences of ``fn``, and -- for finite
+    declared f'(0+) -- that the derivative approaches the declared limit
+    monotonically from above.
     Violations are reported, never raised.
     """
     xs = np.asarray(default_grid() if grid is None else grid, dtype=float)
@@ -223,6 +227,9 @@ def validate(f: GeneratorFunction, grid: Sequence[float] | None = None) -> Gener
 
     fx = np.array([f(x) for x in xs])
     dfx = np.array([f.slope(x) for x in xs])
+    for x, value, slope in zip(xs.tolist(), fx.tolist(), dfx.tolist()):
+        if not (math.isfinite(value) and math.isfinite(slope)):
+            violations.append(Violation("non-finite", x, f"f({x:.6g}) = {value!r}, f'({x:.6g}) = {slope!r}"))
 
     for k in range(len(xs) - 1):
         a, b = xs[k], xs[k + 1]

@@ -39,18 +39,28 @@ def hermitian_part(matrix: np.ndarray) -> np.ndarray:
     return (matrix + matrix.conj().swapaxes(-1, -2)) / 2
 
 
-def _finite_square(matrix: np.ndarray) -> np.ndarray:
-    """``matrix`` as a complex array; ``ValidationError`` unless it is square, of
-    dimension >= 1, with finite entries (run before gates that read ``deviation > tol``)."""
-    matrix = np.asarray(matrix, dtype=complex)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValidationError(f"expected a square matrix, got shape {matrix.shape}")
-    if matrix.shape[0] < 1:
+def _check_square(stack: np.ndarray) -> None:
+    """``ValidationError`` unless ``stack`` is a (k, d, d) stack of square matrices
+    of dimension d >= 1; the message names the shape of one matrix."""
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+        raise ValidationError(f"expected a square matrix, got shape {stack.shape[1:]}")
+    if stack.shape[1] < 1:
         raise ValidationError("matrix dimension must be at least 1")
-    if np.isfinite(matrix).all():
+
+
+def _finite_square(matrix: np.ndarray, stacked: bool = False) -> np.ndarray:
+    """``matrix`` as a complex array; ``ValidationError`` unless it is square (with
+    ``stacked``, a (k, d, d) stack of square matrices), of dimension >= 1, with finite
+    entries (run before gates that read ``deviation > tol``).  In a stack the first
+    matrix with a non-finite entry is named, as its one-matrix check names it."""
+    matrix = np.asarray(matrix, dtype=complex)
+    stack = matrix if stacked else matrix[None]
+    _check_square(stack)
+    if np.isfinite(stack).all():
         return matrix
-    bad = np.argwhere(~np.isfinite(matrix))
-    named = ", ".join(f"[{i}, {j}] = {matrix[i, j]}" for i, j in bad[:3])
+    first = stack[np.argmin(np.isfinite(stack).all(axis=(1, 2)))]
+    bad = np.argwhere(~np.isfinite(first))
+    named = ", ".join(f"[{i}, {j}] = {first[i, j]}" for i, j in bad[:3])
     more = f" and {len(bad) - 3} more" if len(bad) > 3 else ""
     raise ValidationError(f"matrix has non-finite entries: {named}{more}")
 
@@ -60,13 +70,14 @@ def validate_hermitian(matrix: np.ndarray, tol_herm: float = DEFAULT_TOLS.tol_he
 
     Inputs within tolerance are symmetrized (tolerates file-format rounding);
     anything further from Hermitian is rejected rather than silently accepted.
+    A 3-d array is a stack of matrices, each checked and symmetrized as one
+    matrix would be; the first matrix that fails raises.
     """
-    matrix = _finite_square(matrix)
-    deviation = float(np.max(np.abs(matrix - matrix.conj().T)))
-    if deviation > tol_herm:
-        raise ValidationError(
-            f"matrix is not Hermitian: max |M - M*| = {deviation:.3e} > {tol_herm:.1e}"
-        )
+    matrix = _finite_square(matrix, stacked=np.ndim(matrix) == 3)
+    deviations = np.abs(matrix - matrix.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    for deviation in deviations.reshape(-1).tolist():
+        if deviation > tol_herm:
+            raise ValidationError(f"matrix is not Hermitian: max |M - M*| = {deviation:.3e} > {tol_herm:.1e}")
     return hermitian_part(matrix)
 
 
@@ -76,12 +87,30 @@ def apply_function(state: "DensityState", fn: Callable[[np.ndarray], np.ndarray]
     ``fn`` is evaluated on the eigenvalue array at once; a non-finite value
     raises ``DomainError``.
     """
-    values = np.broadcast_to(np.asarray(fn(state.w), dtype=float), state.w.shape)
+    return (state.v * _function_values(fn, state.w)) @ state.v.conj().T
+
+
+def _function_values(fn: Callable[[np.ndarray], np.ndarray], w: np.ndarray) -> np.ndarray:
+    """``fn(w)`` as floats of the shape of ``w``; ``DomainError`` names the first
+    non-finite value, in C order, and the eigenvalue it was taken at."""
+    values = np.broadcast_to(np.asarray(fn(w), dtype=float), w.shape)
     finite = np.isfinite(values)
     if not finite.all():
         k = int(np.argmin(finite))
-        raise DomainError(f"function value at eigenvalue {float(state.w[k])!r} is {float(values[k])!r}")
-    return (state.v * values) @ state.v.conj().T
+        raise DomainError(f"function value at eigenvalue {float(w.flat[k])!r} is {float(values.flat[k])!r}")
+    return values
+
+
+def _stack(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """The arrays stacked on a new first axis; a single array is viewed, not copied,
+    so a one-item call of a stacked core allocates what a one-item routine would."""
+    return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
+
+
+def _assemble(v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """V diag(w) V* of each (V, w) of a (k, d, n) and a (k, n) stack, with the bits
+    of ``(v * w) @ v.conj().T`` on each."""
+    return (v * w[:, None, :]) @ v.conj().swapaxes(1, 2)
 
 
 @dataclass(frozen=True, init=False)
@@ -93,7 +122,9 @@ class DensityState:
     pair is fixed at construction: ``from_matrix`` runs one ``eigh``, while
     ``from_orthonormal`` and the constructors that know a state's spectrum
     already (``random_state``, conjugation and transpose images) attach it
-    without one.
+    without one.  ``from_matrix`` is the one-matrix case of ``_from_matrices``,
+    which builds the states of a stack of matrices with one stacked check of
+    each kind and one stacked ``eigh``.
 
     ``matrix`` is given at construction or, for ``from_orthonormal`` and the
     conjugation and transpose images, built when first read; until then such
@@ -133,18 +164,34 @@ class DensityState:
     def from_matrix(cls, matrix: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> "DensityState":
         """The state of ``matrix``, after one Hermitian check and one ``eigh``.
 
-        An eigenvalue below ``-tol_psd`` is an error.
+        An eigenvalue below ``-tol_psd`` is an error.  The one-matrix case of
+        ``_from_matrices``.
         """
-        matrix = validate_hermitian(matrix, tols.tol_herm)
-        trace = float(np.trace(matrix).real)
-        if abs(trace - 1.0) > tols.tol_trace:
-            raise ValidationError(f"state trace is {trace!r}, expected 1 within {tols.tol_trace:.1e}")
-        w, v = np.linalg.eigh(matrix)
-        if w[0] < -tols.tol_psd:
-            raise ValidationError(f"state has negative eigenvalue {w[0]:.3e} beyond {tols.tol_psd:.1e}")
-        w = w[::-1]
+        return cls._from_matrices(np.asarray(matrix, dtype=complex)[None], tols)[0]
+
+    @classmethod
+    def _from_matrices(cls, matrices: np.ndarray, tols: Tolerances) -> list["DensityState"]:
+        """The state of each matrix in a (k, d, d) stack, as :meth:`from_matrix`,
+        its one-matrix case.
+
+        Each check runs once on the whole stack, in the one-matrix order (shape
+        and finite entries, Hermiticity, trace, then positivity after the one
+        stacked ``eigh``), and raises the one-matrix error text for the first
+        matrix that fails it.
+        """
+        _check_square(matrices)  # so that validate_hermitian reads it as a stack
+        matrices = validate_hermitian(matrices, tols.tol_herm)
+        for trace in matrices.trace(axis1=1, axis2=2).real.tolist():
+            if abs(trace - 1.0) > tols.tol_trace:
+                raise ValidationError(f"state trace is {trace!r}, expected 1 within {tols.tol_trace:.1e}")
+        w, v = np.linalg.eigh(matrices)
+        for lowest in w[:, 0].tolist():
+            if lowest < -tols.tol_psd:
+                raise ValidationError(f"state has negative eigenvalue {lowest:.3e} beyond {tols.tol_psd:.1e}")
+        w = w[:, ::-1]
         w = np.where(w < tols.eps_supp, 0.0, w)
-        return cls(w, np.ascontiguousarray(v[:, ::-1]), matrix=matrix)
+        v = np.ascontiguousarray(v[:, :, ::-1])
+        return [cls(wk, vk, matrix=mk) for wk, vk, mk in zip(w, v, matrices)]
 
     @classmethod
     def from_orthonormal(cls, weights: Sequence[float], vectors: Sequence[np.ndarray]) -> "DensityState":

@@ -16,8 +16,8 @@ import numpy as np
 from .config import DEFAULT_TOLS, Tolerances
 from .errors import ParameterError
 from .generators import GeneratorFunction
-from .hermitian import DensityState, hermitian_part
-from .bregman import _check_dims, _clamp_nonneg, bregman
+from .hermitian import DensityState, _assemble, _stack, hermitian_part
+from .bregman import _bregman_pairs, _check_dims, _clamp_nonneg
 
 __all__ = [
     "jensen",
@@ -28,10 +28,10 @@ __all__ = [
 ]
 
 
-def _midpoint_matrix(a: DensityState, b: DensityState) -> np.ndarray:
-    """(A + B)/2 of A and B with their zeros decided."""
-    _check_dims(a, b)
-    return (a.reconstruct() + b.reconstruct()) / 2.0
+def _midpoint_matrices(xs: Sequence[DensityState], ys: Sequence[DensityState]) -> np.ndarray:
+    """The stack of (A + B)/2 of each pair, with A and B taken with their zeros decided."""
+    a, b = (_assemble(_stack([s.v for s in states]), _stack([s.w for s in states])) for states in (xs, ys))
+    return (a + b) / 2.0
 
 
 def midpoint_state(a: DensityState, b: DensityState) -> DensityState:
@@ -39,12 +39,22 @@ def midpoint_state(a: DensityState, b: DensityState) -> DensityState:
 
     The midpoint is an intermediate: its eigenvalues are clipped at 0, not
     snapped at eps_supp, so an eigenvalue that holds half of a small
-    eigenvalue of A or B keeps A and B inside its support.
+    eigenvalue of A or B keeps A and B inside its support.  The one-pair case
+    of ``_midpoint_states``.
     """
-    matrix = hermitian_part(_midpoint_matrix(a, b))
-    w, v = np.linalg.eigh(matrix)
-    w = np.maximum(w[::-1], 0.0)
-    return DensityState(w, np.ascontiguousarray(v[:, ::-1]), matrix=matrix)
+    return _midpoint_states([a], [b])[0]
+
+
+def _midpoint_states(xs: Sequence[DensityState], ys: Sequence[DensityState]) -> list[DensityState]:
+    """The midpoint state of each pair, as :func:`midpoint_state`, its one-pair case:
+    one stacked ``eigh``.  The states share one dimension."""
+    for x, y in zip(xs, ys):
+        _check_dims(x, y)
+    matrices = hermitian_part(_midpoint_matrices(xs, ys))
+    w, v = np.linalg.eigh(matrices)
+    w = np.maximum(w[:, ::-1], 0.0)
+    v = np.ascontiguousarray(v[:, :, ::-1])
+    return [DensityState(wk, vk, matrix=m) for wk, vk, m in zip(w, v, matrices)]
 
 
 def jensen(
@@ -69,8 +79,8 @@ def _jensen_pairs(
 ) -> list[float]:
     """J_f(xs[k], ys[k]) for every k, as in :func:`jensen`, its one-pair case.
 
-    The states share one dimension.  Midpoint matrices are built per pair
-    and go through one stacked ``eigvalsh``; the generator is evaluated
+    The states share one dimension.  Midpoint matrices are built as one
+    stack and go through one stacked ``eigvalsh``; the generator is evaluated
     once on the stack of all spectra.
     """
     for x, y in zip(xs, ys):
@@ -80,7 +90,7 @@ def _jensen_pairs(
     mid = (wx + wy) / 2.0
     apart = [k for k, (x, y) in enumerate(zip(xs, ys)) if x.v is not y.v]
     if apart:
-        midpoints = np.array([_midpoint_matrix(xs[k], ys[k]) for k in apart])
+        midpoints = _midpoint_matrices([xs[k] for k in apart], [ys[k] for k in apart])
         mid[apart] = np.maximum(np.linalg.eigvalsh(midpoints), 0.0)
     fx, fy, fm = f.values(np.array([wx, wy, mid])).sum(axis=2)
     return [_clamp_nonneg(value, tols.tol_num) for value in (0.5 * (fx + fy) - fm).tolist()]
@@ -140,9 +150,23 @@ def jensen_via_bregman(
     """J_f(A, B) = ( H_f(A, (A+B)/2) + H_f(B, (A+B)/2) ) / 2.
 
     Both supports are contained in the midpoint support, so the Bregman calls
-    are finite regardless of the generator's zero-derivative class.
+    are finite regardless of the generator's zero-derivative class.  The
+    one-pair case of ``_jensen_via_bregman_pairs``.
     """
-    mid = midpoint_state(a, b)
-    left = bregman(f, a, mid, tols=tols)
-    right = bregman(f, b, mid, tols=tols)
-    return 0.5 * (left + right)
+    return _jensen_via_bregman_pairs(f, [a], [b], [midpoint_state(a, b)], tols)[0]
+
+
+def _jensen_via_bregman_pairs(
+    f: GeneratorFunction,
+    xs: Sequence[DensityState],
+    ys: Sequence[DensityState],
+    mids: Sequence[DensityState],
+    tols: Tolerances,
+) -> list[float]:
+    """``jensen_via_bregman`` of each pair, its one-pair case, given the pairs'
+    midpoint states (``_midpoint_states``, which a caller can share between
+    generators): both halves are one ``_bregman_pairs`` call, so each value is
+    bit for bit its one-pair call.
+    """
+    halves = _bregman_pairs(f, [*xs, *ys], [*mids, *mids], tols)
+    return [0.5 * (left + right) for left, right in zip(halves[: len(mids)], halves[len(mids) :])]

@@ -11,7 +11,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLS, Tolerances
 from .errors import ParameterError
-from .hermitian import DensityState, RankOneProjection, hermitian_part
+from .hermitian import DensityState, RankOneProjection, _assemble, hermitian_part
 
 __all__ = [
     "rng_for",
@@ -93,33 +93,45 @@ def _random_states(
     eigenvalue_floor: float = 0.0,
     tols: Tolerances = DEFAULT_TOLS,
 ) -> list[DensityState]:
-    """``n`` random states, bit for bit those of ``n`` consecutive ``random_state`` calls.
-
-    The rng is drawn state by state in the order of those calls (simplex
-    weights, then the real and the imaginary Ginibre parts); the QR, the
-    phase fix and the sort run once on the stack.  Each matrix is its own
-    d x d product and each eigenvector array its own column gather.
-    """
+    """``n`` random states, bit for bit those of ``n`` consecutive ``random_state`` calls:
+    ``n`` draws (``_draw_state``), then one build (``_build_states``)."""
     if dim < 1:
         raise ParameterError(f"dimension must be >= 1, got {dim}")
     rank = dim if rank is None else rank
     if not 1 <= rank <= dim:
         raise ParameterError(f"rank must lie in [1, {dim}], got {rank}")
-    if n == 0:
+    draws = [_draw_state(dim, rank, rng) for _ in range(n)]
+    return _build_states(draws, eigenvalue_floor=eigenvalue_floor, tols=tols)
+
+
+def _draw_state(dim: int, rank: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """The rng draws of one ``random_state`` call, in its order: the simplex weights of the
+    rank nonzero eigenvalues, then the real and the imaginary Ginibre parts, (2, d, d)."""
+    return random_simplex_point(rank, rng), rng.standard_normal((2, dim, dim))
+
+
+def _build_states(
+    draws: list[tuple[np.ndarray, np.ndarray]],
+    *,
+    eigenvalue_floor: float = 0.0,
+    tols: Tolerances = DEFAULT_TOLS,
+) -> list[DensityState]:
+    """The states of ``_draw_state`` draws of one dimension and rank, each bit for bit
+    its ``random_state``.  The spectrum floor, the QR, the phase fix, the matrices and
+    the sort each run once on the stack.
+    """
+    if not draws:
         return []
+    n, rank, dim = len(draws), len(draws[0][0]), draws[0][1].shape[-1]
     spectrum = np.zeros((n, dim))
-    gaussian = np.empty((n, 2, dim, dim))
-    for k in range(n):
-        spectrum[k, :rank] = random_simplex_point(rank, rng)
-        rng.standard_normal(out=gaussian[k])
+    spectrum[:, :rank] = [weights for weights, _ in draws]
+    gaussian = np.array([parts for _, parts in draws])
     if eigenvalue_floor > 0.0:
         spectrum[:, :rank] = (spectrum[:, :rank] + eigenvalue_floor) / (1.0 + rank * eigenvalue_floor)
     basis = _haar((gaussian[:, 0] + 1j * gaussian[:, 1]) / np.sqrt(2.0))
-    matrices = hermitian_part(np.array([(b * s) @ b.conj().T for b, s in zip(basis, spectrum)]))
+    matrices = hermitian_part(_assemble(basis, spectrum))
     order = np.argsort(-spectrum, axis=1, kind="stable")
-    w = spectrum[np.arange(n)[:, None], order]
+    w = np.take_along_axis(spectrum, order, axis=1)
     w[w < tols.eps_supp] = 0.0
-    return [
-        DensityState(wk, b[:, o], matrix=m)
-        for m, wk, b, o in zip(matrices, w, basis, order)
-    ]
+    v = np.take_along_axis(basis, order[:, None, :], axis=2)
+    return [DensityState(wk, vk, matrix=m) for m, wk, vk in zip(matrices, w, v)]

@@ -5,11 +5,15 @@ closed forms or independent routes, and returns a RunReport.  A sample set is
 drawn once per dimension and scored with one stacked divergence call per
 generator (``_bregman_pairs``, ``_jensen_pairs``), bit for bit the one-pair
 calls.  The independent routes it is checked against are the operator log of
-the raw matrices (one stacked ``eigh`` per argument), the trace form, Jensen
-via Bregman and the rank-one and rank-two closed forms; all but the operator
-log stay one call per pair.  Reports are deterministic given (inputs, seed,
-tolerances); wall time is measured but kept out of the canonical
-serialization so that identical runs produce identical bytes.
+the raw matrices (one stacked ``eigh`` per argument), the trace form
+(``_trace_form_pairs``), Jensen via Bregman (``_jensen_via_bregman_pairs``,
+on midpoints built once per dimension and shared by the generators) and the
+rank-one and rank-two closed forms; only the two closed forms stay one call
+per pair.  The convexity suite draws its states sample by sample but builds
+them, and then their mixtures, in one call each, so a suite holds the whole
+sample stack of a dimension in memory at once.  Reports are deterministic
+given (inputs, seed, tolerances); wall time is measured but kept out of the
+canonical serialization so that identical runs produce identical bytes.
 """
 
 from __future__ import annotations
@@ -24,16 +28,22 @@ import numpy as np
 
 from .bregman import (
     _bregman_pairs,
+    _trace_form_pairs,
     bregman_rank_one_pair,
     bregman_rank_one_vs_rank_two,
-    bregman_trace_form,
 )
 from .config import DEFAULT_TOLS, Tolerances
 from .errors import ParameterError
 from .files import json_value
 from .generators import GeneratorFunction, parse_generator
 from .hermitian import DensityState, RankOneProjection, transition_probability
-from .jensen import _jensen_pairs, jensen_max_constant, jensen_rank_one, jensen_via_bregman
+from .jensen import (
+    _jensen_pairs,
+    _jensen_via_bregman_pairs,
+    _midpoint_states,
+    jensen_max_constant,
+    jensen_rank_one,
+)
 from .preserver import (
     conjugation_oracle,
     depolarizing_oracle,
@@ -49,7 +59,15 @@ from .preserver import (
     SymmetryOp,
     transition_table,
 )
-from .sampling import _random_states, haar_unitary, random_pure, random_state, rng_for
+from .sampling import (
+    _build_states,
+    _draw_state,
+    _random_states,
+    haar_unitary,
+    random_pure,
+    random_state,
+    rng_for,
+)
 
 __all__ = ["CheckResult", "RunReport", "run_suite", "SUITE_NAMES"]
 
@@ -129,6 +147,11 @@ def _umegaki(xs, ys) -> np.ndarray:
     return np.einsum("kij,kji->k", a, log(a) - log(b)).real
 
 
+def _matrices(states) -> np.ndarray:
+    """The stack of the states' matrices."""
+    return np.array([s.matrix for s in states])
+
+
 def _worst(devs) -> float:
     """The largest deviation, 0.0 if none; np.max keeps a NaN that the builtin can drop."""
     return float(np.max(devs)) if len(devs) else 0.0
@@ -194,12 +217,14 @@ def _suite_closed_forms(
         q_states = [q.to_state() for _, q, _ in pure] + [orthogonal[1].to_state()]
         r_states = [rr.to_state() for rr, _, _, _ in mixed]
         mixtures = [rank_two_mixture(lam, pp, qq, tols=tols) for _, lam, pp, qq in mixed]
+        mids = _midpoint_states(xs, ys)
         for label, gen in generators.items():
             found = devs[label]
-            for a, b, general in zip(trace_xs, trace_ys, _bregman_pairs(gen, trace_xs, trace_ys, tols)):
-                found["trace"].append(abs(general - bregman_trace_form(gen, a, b, tols=tols)))
-            for a, b, value in zip(xs, ys, _jensen_pairs(gen, xs, ys, tols)):
-                found["jvb"].append(abs(value - jensen_via_bregman(gen, a, b, tols=tols)))
+            general = _bregman_pairs(gen, trace_xs, trace_ys, tols)
+            trace = _trace_form_pairs(gen, trace_xs, trace_ys, tols)
+            found["trace"] += [abs(u - v) for u, v in zip(general, trace)]
+            via = _jensen_via_bregman_pairs(gen, xs, ys, mids, tols)
+            found["jvb"] += [abs(u - v) for u, v in zip(_jensen_pairs(gen, xs, ys, tols), via)]
             *pure_values, orthogonal_value = _jensen_pairs(gen, p_states, q_states, tols)
             for (p, q, overlap), value in zip(pure, pure_values):
                 found["r1"].append(abs(value - jensen_rank_one(gen, overlap, tols=tols)))
@@ -280,11 +305,8 @@ def _suite_preserver(
                 flag_errors += 1
             images = [op.apply_projection(probe) for probe in dim_probes]
             rebuilt, _ = wigner_reconstruct(images, tols=tols)
-            for _ in range(25):
-                r = random_pure(dim, rng)
-                devs_wigner.append(
-                    float(np.max(np.abs(rebuilt.apply_matrix(r.matrix) - op.apply_matrix(r.matrix))))
-                )
+            pure = np.array([random_pure(dim, rng).matrix for _ in range(25)])
+            devs_wigner += np.abs(rebuilt.apply_matrix(pure) - op.apply_matrix(pure)).max(axis=(1, 2)).tolist()
     report.checks.append(_within("conjugation-verification", devs_conj, 1e-8))
     report.checks.append(
         CheckResult("antiunitary-flags", flag_errors == 0, float(flag_errors), 0.0)
@@ -325,23 +347,32 @@ def _suite_convexity(
         group = {label: gen for label, gen in generators.items() if gen.matrix_entropy_member == member}
         for dim in dims:
             rng = rng_for(seed + 6000 * dim)
-            # Per sample, the pairs (a, d), (b, d), (mix, d) and, for members,
-            # (mix_a, mix_b), (a, b), (a2, b2): one row of the stack each.
-            xs, ys, ts = [], [], []
+            # Per sample the draws of a, b and d, then t, then for members a2
+            # and b2; the states of all samples are built in one call.
+            draws, ts = [], []
             for _ in range(samples):
-                a, b, d = _random_states(3, dim, rng=rng, eigenvalue_floor=1e-3)
-                t = float(rng.uniform(0.1, 0.9))
-                mix = DensityState.from_matrix(t * a.matrix + (1.0 - t) * b.matrix, tols)
-                xs += [a, b, mix]
-                ys += [d, d, d]
+                draws += [_draw_state(dim, dim, rng) for _ in range(3)]
+                ts.append(float(rng.uniform(0.1, 0.9)))
                 if member:
-                    a2, b2 = _random_states(2, dim, rng=rng, eigenvalue_floor=1e-3)
-                    mix_a = DensityState.from_matrix(t * a.matrix + (1.0 - t) * a2.matrix, tols)
-                    mix_b = DensityState.from_matrix(t * b.matrix + (1.0 - t) * b2.matrix, tols)
-                    xs += [mix_a, a, a2]
-                    ys += [mix_b, b, b2]
-                ts.append(t)
+                    draws += [_draw_state(dim, dim, rng) for _ in range(2)]
+            width = 5 if member else 3
+            states = _build_states(draws, eigenvalue_floor=1e-3)
+            a, b, d, *seconds = (states[k::width] for k in range(width))
+            # The mixtures t a + (1 - t) b and, for members, t a + (1 - t) a2 and
+            # t b + (1 - t) b2, all built in one call.
+            mixing = [(a, b), *zip((a, b), seconds)]
             t = np.array(ts)
+            weight = t[:, None, None]
+            mixed = np.array([weight * _matrices(x) + (1.0 - weight) * _matrices(y) for x, y in mixing])
+            built = DensityState._from_matrices(mixed.reshape(-1, dim, dim), tols)
+            mix, *joint = (built[k * samples : (k + 1) * samples] for k in range(len(mixing)))
+            # Per sample the pairs (a, d), (b, d), (mix, d) and, for members,
+            # (mix_a, mix_b), (a, b), (a2, b2): one row of the stack each.
+            rows = [(a, d), (b, d), (mix, d)]
+            if member:
+                rows += [tuple(joint), (a, b), tuple(seconds)]
+            xs = [x for sample in zip(*(x for x, _ in rows)) for x in sample]
+            ys = [y for sample in zip(*(y for _, y in rows)) for y in sample]
             for label, gen in group.items():
                 h = np.array(_bregman_pairs(gen, xs, ys, tols)).reshape(samples, -1).T
                 gaps[label] += (t * h[0] + (1.0 - t) * h[1] - h[2]).tolist()

@@ -2,8 +2,9 @@
 every function reads each of its parameters, and every defaulted parameter is set by
 some call, so a dead option fails here too; every error class is raised and has its
 own exit code, so a dead exception fails here as well; no module imports scipy,
-which only the tests use; and one bisection loop, ``preserver._bisect``, reads the
-bisection tolerance."""
+which only the tests use; one bisection loop, ``preserver._bisect``, reads the
+bisection tolerance; and the suites call the stacked cores, not their one-item
+wrappers."""
 
 import ast
 import functools
@@ -272,3 +273,50 @@ def test_bisect_tol_reader_is_flagged():
 def test_only_bisect_reads_bisect_tol():
     readers = [r for path in PACKAGE_FILES for r in _readers_of("BISECT_TOL", path.read_text(encoding="utf-8"))]
     assert readers == ["_bisect"]
+
+
+# The one-item wrappers of the stacked cores; a suite calls the cores instead.
+ONE_ITEM_WRAPPERS = {
+    "bregman_trace_form",
+    "jensen_via_bregman",
+    "midpoint_state",
+    "DensityState.from_matrix",
+    "density_state",
+}
+
+
+def _calls_of(names: set[str], source: str) -> list[str]:
+    """Each call in ``source`` of one of ``names``: a bare ``name(...)``, an
+    attribute ``m.name(...)``, or for a dotted ``Class.method`` a call ``Class.method(...)``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name):
+            called = func.id
+        elif isinstance(func, ast.Attribute):
+            owner = func.value.id if isinstance(func.value, ast.Name) else None
+            called = f"{owner}.{func.attr}" if f"{owner}.{func.attr}" in names else func.attr
+        else:
+            continue
+        if called in names:
+            found.append(called)
+    return found
+
+
+def test_wrapper_call_is_flagged():
+    source = (
+        "from .jensen import midpoint_state\n"
+        "m = midpoint_state(a, b)\n"
+        "v = bregman.bregman_trace_form(f, a, b)\n"
+        "s = DensityState.from_matrix(m)\n"
+        "o = SymmetryOp.from_matrix(u)\n"
+        "t = DensityState._from_matrices(ms, tols)\n"
+    )
+    assert _calls_of(ONE_ITEM_WRAPPERS, source) == ["midpoint_state", "bregman_trace_form", "DensityState.from_matrix"]
+
+
+def test_suites_call_the_stacked_cores_not_their_one_item_wrappers():
+    source = (ROOT / "src" / "statediv" / "suites.py").read_text(encoding="utf-8")
+    assert _calls_of(ONE_ITEM_WRAPPERS, source) == []

@@ -121,6 +121,18 @@ class TestNormalize:
         assert g.slope_at_zero == float("-inf")
         assert not g.finite_zero_slope
 
+    @pytest.mark.parametrize("scale", [1e309, math.nan])
+    def test_non_finite_value_at_one_is_rejected(self, scale):
+        # Shifting by f(1) = inf or nan would make every value NaN.
+        with pytest.raises(DomainError, match="at 1; cannot normalize"):
+            GeneratorFunction(
+                name="overflow",
+                fn=lambda x: x * x * scale,
+                dfn=lambda x: 2 * x * scale,
+                value_at_zero=0.0,
+                slope_at_zero=0.0,
+            )
+
 
 class TestValidate:
     @pytest.mark.parametrize("f", CATALOG, ids=lambda f: f.name)
@@ -164,6 +176,21 @@ class TestValidate:
         report = validate(bad)
         kinds = {v.kind for v in report.violations}
         assert "zero-slope-class" in kinds
+
+    def test_non_finite_values_flagged(self):
+        # Finite at 0 and 1, so it builds; NaN beyond x = 2, where no other check can fail.
+        bad = GeneratorFunction(
+            name="nan-tail",
+            fn=lambda x: np.where(x > 2.0, np.nan, x**2 - x),
+            dfn=lambda x: np.where(x > 2.0, np.nan, 2 * x - 1),
+            value_at_zero=0.0,
+            slope_at_zero=-1.0,
+        )
+        report = validate(bad)
+        assert not report.ok
+        flagged = [v.location for v in report.violations if v.kind == "non-finite"]
+        assert flagged == [x for x in default_grid().tolist() if x > 2.0]
+        assert {v.kind for v in report.violations} == {"non-finite"}
 
     def test_bad_grid_rejected(self):
         with pytest.raises(ParameterError):

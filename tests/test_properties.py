@@ -7,6 +7,8 @@ within a tenth of a knob of its threshold, so the eigensolver's rounding never
 decides a zero or a cluster.  Pairs either share an eigenbasis (nested and
 non-nested supports) or not.  Stacks of such pairs go through the stacked
 Bregman and Jensen cores, which must equal one-pair calls bit for bit.
+So must the stacked trace form, midpoints, Jensen via Bregman, state draws
+and ``from_matrix`` (d = 2..8, under tolerances other than the defaults).
 Perturbed probe images of a conjugation either reconstruct within
 ``RECONSTRUCT_TOL`` or are rejected as no preserver.  The hypothesis profile is
 fixed in conftest.py.
@@ -27,6 +29,7 @@ from statediv import (
     NotAPreserverError,
     RankOneProjection,
     SymmetryOp,
+    ValidationError,
     bregman,
     bregman_trace_form,
     density_state,
@@ -45,9 +48,11 @@ from statediv import (
     wigner_probes,
     wigner_reconstruct,
 )
-from statediv.bregman import _bregman_pairs, _clamp_nonneg
+from statediv.bregman import _bregman_pairs, _clamp_nonneg, _trace_form_pairs
 from statediv.generators import power_generator, quadratic, std_entropy
-from statediv.jensen import _jensen_pairs
+from statediv.hermitian import apply_function, hermitian_part, trace_on_support
+from statediv.jensen import _jensen_pairs, _jensen_via_bregman_pairs, _midpoint_states, midpoint_state
+from statediv.sampling import _build_states, _draw_state
 from statediv.preserver import BISECT_TOL, BRACKET_EPS, RECONSTRUCT_TOL, _probe_residual
 
 GENERATORS = [parse_generator(s) for s in ("xlogx", "power:q=3/2", "quadratic")]
@@ -293,10 +298,10 @@ def _on_basis(spectrum: np.ndarray, v: np.ndarray) -> DensityState:
 
 
 @st.composite
-def pair_stacks(draw):
+def pair_stacks(draw, min_dim: int = 1, max_dim: int = 9):
     """Pairs of one dimension: independent bases, permuted bases, one shared
     eigenvector array (kernels nested or not) and a state with itself."""
-    dim = draw(st.integers(1, 9))
+    dim = draw(st.integers(min_dim, max_dim))
     rng = rng_for(draw(st.integers(0, 2**16)))
     xs, ys = [], []
     for _ in range(draw(st.integers(1, 6))):
@@ -360,6 +365,123 @@ def test_stacked_divergences_cover_every_branch():
         assert _bits(_jensen_pairs(f, xs, ys, DEFAULT_TOLS)) == _bits(
             _one_pair_jensen(f, x, y) for x, y in zip(xs, ys)
         )
+
+
+# Tolerances other than the defaults: the support knob below, at and above the
+# small eigenvalues ``spectra`` draws around the default one, and other clamps.
+CORE_TOLS = [
+    DEFAULT_TOLS.replace(eps_supp=eps, tol_num=num) for eps, num in ((1e-12, 1e-9), (2e-10, 1e-12), (1e-8, 1e-10))
+]
+
+
+def _one_pair_trace_form(f, x, y, tols) -> float:
+    """The one-pair operator-function route of bregman_trace_form, written out as the reference."""
+    finite = f.finite_zero_slope
+    if not finite and not support_contained(x, y, tols=tols):
+        return math.inf
+    n = y.dim if finite else y.rank
+    dfy = (y.v[:, :n] * f.slopes(y.w[:n])) @ y.v[:, :n].conj().T
+    expr = apply_function(x, f.values) - apply_function(y, f.values) - dfy @ (x.reconstruct() - y.reconstruct())
+    value = float(np.trace(expr).real) if finite else trace_on_support(expr, y.support, tols=tols)
+    return _clamp_nonneg(value, tols.tol_num)
+
+
+def _one_pair_midpoint(a, b) -> DensityState:
+    """The one-pair midpoint state, written out as the reference."""
+    matrix = hermitian_part((a.reconstruct() + b.reconstruct()) / 2.0)
+    w, v = np.linalg.eigh(matrix)
+    return DensityState(np.maximum(w[::-1], 0.0), np.ascontiguousarray(v[:, ::-1]), matrix=matrix)
+
+
+def _same_state(s, t) -> bool:
+    return all(
+        np.ascontiguousarray(u).tobytes() == np.ascontiguousarray(v).tobytes()
+        for u, v in ((s.w, t.w), (s.v, t.v), (s.matrix, t.matrix))
+    )
+
+
+@given(pair_stacks(2, 8), st.sampled_from(GENERATORS), st.sampled_from(CORE_TOLS))
+def test_stacked_trace_form_equals_one_pair_calls(stack, f, tols):
+    xs, ys = stack
+    stacked = _trace_form_pairs(f, xs, ys, tols)
+    assert _bits(stacked) == _bits(bregman_trace_form(f, x, y, tols=tols) for x, y in zip(xs, ys))
+    assert _bits(stacked) == _bits(_one_pair_trace_form(f, x, y, tols) for x, y in zip(xs, ys))
+
+
+@given(pair_stacks(2, 8))
+def test_stacked_midpoints_equal_one_pair_calls(stack):
+    xs, ys = stack
+    for mid, x, y in zip(_midpoint_states(xs, ys), xs, ys, strict=True):
+        assert _same_state(mid, midpoint_state(x, y))
+        assert _same_state(mid, _one_pair_midpoint(x, y))
+
+
+@given(pair_stacks(2, 8), st.sampled_from(GENERATORS), st.sampled_from(CORE_TOLS))
+def test_stacked_jensen_via_bregman_equals_one_pair_calls(stack, f, tols):
+    xs, ys = stack
+    stacked = _jensen_via_bregman_pairs(f, xs, ys, _midpoint_states(xs, ys), tols)
+    assert _bits(stacked) == _bits(jensen_via_bregman(f, x, y, tols=tols) for x, y in zip(xs, ys))
+    halves = (
+        (bregman(f, x, mid, tols=tols), bregman(f, y, mid, tols=tols))
+        for x, y, mid in ((x, y, _one_pair_midpoint(x, y)) for x, y in zip(xs, ys))
+    )
+    assert _bits(stacked) == _bits(0.5 * (left + right) for left, right in halves)
+
+
+@given(
+    st.integers(2, 8),
+    st.data(),
+    st.sampled_from((0.0, 1e-3)),
+    st.sampled_from((1e-10, 0.02, 0.1, 0.3)),
+    st.integers(0, 2**16),
+)
+def test_draws_and_one_build_equal_consecutive_random_states(dim, data, floor, eps, seed):
+    # eps_supp from the default up into the drawn spectra, so the knob decides zeros.
+    rank, count = data.draw(st.integers(1, dim)), data.draw(st.integers(1, 6))
+    tols = DEFAULT_TOLS.replace(eps_supp=eps)
+    rng, reference = rng_for(seed), rng_for(seed)
+    built = _build_states([_draw_state(dim, rank, rng) for _ in range(count)], eigenvalue_floor=floor, tols=tols)
+    single = [random_state(dim, rank, rng=reference, eigenvalue_floor=floor, tols=tols) for _ in range(count)]
+    assert all(_same_state(s, t) for s, t in zip(built, single, strict=True))
+    assert rng.bit_generator.state == reference.bit_generator.state
+
+
+def _negative(matrix: np.ndarray, rng) -> np.ndarray:
+    """A unit-trace Hermitian matrix of the same dimension with eigenvalue -0.3."""
+    u = haar_unitary(matrix.shape[0], rng)
+    spectrum = np.zeros(matrix.shape[0])
+    spectrum[:2] = (1.3, -0.3)
+    return (u * spectrum) @ u.conj().T
+
+
+BAD_MATRICES = {
+    "non-finite": lambda m, rng: np.where(np.eye(len(m), k=-1) == 1, math.nan, m),
+    "non-hermitian": lambda m, rng: m + np.triu(np.full(m.shape, 1e-6), k=1),
+    "trace": lambda m, rng: 1.01 * m,
+    "negative": _negative,
+}
+
+
+@given(
+    st.integers(2, 8),
+    st.integers(1, 6),
+    st.data(),
+    st.sampled_from(sorted(BAD_MATRICES)),
+    st.sampled_from(CORE_TOLS),
+    st.integers(0, 2**16),
+)
+def test_stacked_from_matrix_equals_one_matrix_calls(dim, count, data, bad, tols, seed):
+    rng = rng_for(seed)
+    stack = np.array([random_state(dim, data.draw(st.integers(1, dim)), rng=rng).matrix for _ in range(count)])
+    built = DensityState._from_matrices(stack, tols)
+    assert all(_same_state(s, DensityState.from_matrix(m, tols)) for s, m in zip(built, stack, strict=True))
+    position = data.draw(st.integers(0, count - 1))
+    stack[position] = BAD_MATRICES[bad](stack[position], rng)
+    with pytest.raises(ValidationError) as one:
+        DensityState.from_matrix(stack[position], tols)
+    with pytest.raises(ValidationError) as stacked:
+        DensityState._from_matrices(stack, tols)
+    assert str(stacked.value) == str(one.value)
 
 
 @given(
