@@ -9,6 +9,9 @@ near the infinite branch -- but by the closed computation rules:
   case the spectral double sum runs over the nonzero spectrum of Y.
 * f'(0+) finite:  the full double sum, with the declared f'(0) on the kernel.
 
+Containment is one test, tr((I - supp Y) X) < eps_supp with the zeros of X decided
+(``_leaks``), which the pure-state closed forms apply to tr((I - Q) P) = 1 - tr PQ.
+
 Values are plain floats; ``math.inf`` is the infinite branch.  Tiny negative
 results (rounding noise on a nonnegative quantity) are clamped to 0.
 """
@@ -16,7 +19,7 @@ results (rounding noise on a nonnegative quantity) are clamped to 0.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -63,15 +66,48 @@ def _check_dims(x: DensityState, y: DensityState) -> None:
 
 
 def support_contained(x: DensityState, y: DensityState, *, tols: Tolerances = DEFAULT_TOLS) -> bool:
-    """Whether supp X is contained in supp Y, via tr((I - supp_Y) X) < eps_supp.
+    """Whether supp X is contained in supp Y: the one-pair case of :func:`_leaks`.
 
     X enters with its zeros decided and the leak is read from the kernel
     eigenvectors of Y: exactly the trace weight the kernel of Y carries in the
     spectral double sum, so a state always contains its own support.
     """
     _check_dims(x, y)
-    inner = x.v.conj().T @ y.v[:, y.rank :]  # states keep their zeros last
-    return float(x.w @ (inner.real**2 + inner.imag**2).sum(axis=1)) < tols.eps_supp
+    return not _leaks([x], [y], y.rank, tols)[0]
+
+
+def _leaks(xs: Sequence[DensityState], ys: Sequence[DensityState], n: int, tols: Tolerances) -> list[bool]:
+    """Whether tr((I - P_n) X) >= eps_supp for each pair, P_n the projection on the first
+    n eigenvectors of Y (states keep their zeros last): the one support test, from one
+    stacked product of the eigenvectors of X with the last d - n of Y."""
+    inner = _stack([x.v for x in xs]).conj().swapaxes(1, 2) @ _stack([y.v[:, n:] for y in ys])
+    w = _stack([x.w for x in xs])
+    leaks = w[:, None, :] @ (inner.real**2 + inner.imag**2).sum(axis=2)[:, :, None]
+    return (leaks[:, 0, 0] >= tols.eps_supp).tolist()
+
+
+def _contained_groups(
+    f: GeneratorFunction, xs: Sequence[DensityState], ys: Sequence[DensityState], tols: Tolerances, evaluate: Callable
+) -> list[float]:
+    """``evaluate(f, xs, ys, n)`` of each group of pairs, clamped, and ``inf`` where X leaks.
+
+    Pairs are grouped by the number n of Y's eigenvalues kept (d, or rank Y in
+    the infinite class), so each pair has the shapes, and the bits, of a
+    one-pair call.  A pair that leaks (:func:`_leaks`) evaluates nothing.
+    """
+    groups: dict[tuple[int, int], list[int]] = {}
+    for k, (x, y) in enumerate(zip(xs, ys)):
+        _check_dims(x, y)
+        groups.setdefault((y.dim, y.dim if f.finite_zero_slope else y.rank), []).append(k)
+    values = [INF] * len(ys)
+    for (d, n), ks in groups.items():
+        if n < d:
+            ks = [k for k, leak in zip(ks, _leaks([xs[k] for k in ks], [ys[k] for k in ks], n, tols)) if not leak]
+        if ks:
+            found = evaluate(f, [xs[k] for k in ks], [ys[k] for k in ks], n)
+            for k, value in zip(ks, found.tolist()):
+                values[k] = _clamp_nonneg(value, tols.tol_num)
+    return values
 
 
 def bregman(
@@ -85,9 +121,10 @@ def bregman(
 
     The double sum of (f(a) - f(b) - f'(b)(a - b)) |<v_a, u_b>|^2 over
     eigenvalue pairs is one array expression; the infinite class leaves out
-    the kernel of Y.  Pairs whose overlap |<v_a, u_b>| is below ``tol_num``
-    are skipped: orthogonal eigenvectors come out with overlaps of rounding
-    size, and skipping them makes H_f(X, X) exactly 0.
+    the kernel of Y, and is ``inf`` unless :func:`support_contained`.  Pairs
+    whose overlap |<v_a, u_b>| is below ``tol_num`` are skipped: orthogonal
+    eigenvectors come out with overlaps of rounding size, and skipping them
+    makes H_f(X, X) exactly 0.
     """
     return _bregman_pairs(f, [x], [y], tols)[0]
 
@@ -95,48 +132,22 @@ def bregman(
 def _bregman_pairs(
     f: GeneratorFunction, xs: Sequence[DensityState], ys: Sequence[DensityState], tols: Tolerances
 ) -> list[float]:
-    """H_f(xs[k], ys[k]) for every k, as in :func:`bregman`, its one-pair case.
-
-    Pairs are grouped by the number n of Y's eigenvalues their double sum
-    keeps (d, or rank Y in the infinite class); each group is one stack, so
-    each pair's sum has the shape, and the bits, of a one-pair call.
-    """
-    groups: dict[int, list[int]] = {}
-    for k, (x, y) in enumerate(zip(xs, ys)):
-        _check_dims(x, y)
-        groups.setdefault(y.dim if f.finite_zero_slope else y.rank, []).append(k)
-    values = [INF] * len(ys)
-    for n, ks in groups.items():
-        sums = _double_sums(f, [xs[k] for k in ks], [ys[k] for k in ks], n, tols)
-        for k, value in zip(ks, sums.tolist()):
-            values[k] = _clamp_nonneg(value, tols.tol_num)
-    return values
+    """H_f(xs[k], ys[k]) for every k, as in :func:`bregman`, its one-pair case."""
+    return _contained_groups(f, xs, ys, tols, lambda f, gx, gy, n: _double_sums(f, gx, gy, n, tols))
 
 
 def _double_sums(
     f: GeneratorFunction, xs: Sequence[DensityState], ys: Sequence[DensityState], n: int, tols: Tolerances
 ) -> np.ndarray:
-    """The double sums over the first n eigenvalues of each Y; ``inf`` where X leaks
-    into the kernel of Y (n < d, the infinite class).
-
-    The overlaps are one d x d product per pair; the rest is stacked.
-    """
-    inner = np.array([x.v.conj().T @ y.v for x, y in zip(xs, ys)])
-    weights = inner.real**2 + inner.imag**2
-    leaks = None
-    if n < weights.shape[2]:  # as in support_contained
-        kernel = weights[:, :, n:].sum(axis=2)
-        leaks = [x.w @ k >= tols.eps_supp for x, k in zip(xs, kernel)]
-        if all(leaks):
-            return np.full(len(xs), INF)
+    """The double sums over the first n eigenvalues of each Y: one d x d overlap product
+    per pair, sliced to n columns (a d x n product rounds differently), the rest stacked."""
+    inner = np.array([(x.v.conj().T @ y.v)[:, :n] for x, y in zip(xs, ys)])
+    kept = inner.real**2 + inner.imag**2
     w = np.array([[x.w for x in xs], [y.w for y in ys]])
     fx, fy = f.values(w)
-    a, b, kept = w[0, :, :, None], w[1, :, None, :n], weights[:, :, :n]
+    a, b = w[0, :, :, None], w[1, :, None, :n]
     terms = (fx[:, :, None] - fy[:, None, :n] - f.slopes(b) * (a - b)) * kept
-    sums = terms.sum(axis=(1, 2), where=kept >= tols.tol_num**2)
-    if leaks is not None:
-        sums[leaks] = INF
-    return sums
+    return terms.sum(axis=(1, 2), where=kept >= tols.tol_num**2)
 
 
 def bregman_trace_form(
@@ -151,8 +162,9 @@ def bregman_trace_form(
     Independent route to the same value as :func:`bregman`: assembles
     f(X) - f(Y) - f'(Y)(X - Y) as matrices, with X and Y taken with their
     zeros decided, and takes the trace on supp Y (the full trace in the
-    finite-derivative regime).  Kept public because the two routes
-    cross-check each other.  The one-pair case of ``_trace_form_pairs``.
+    finite-derivative regime), after the same support test.  Kept public
+    because the two routes cross-check each other.  The one-pair case of
+    ``_trace_form_pairs``.
     """
     return _trace_form_pairs(f, [x], [y], tols)[0]
 
@@ -160,45 +172,25 @@ def bregman_trace_form(
 def _trace_form_pairs(
     f: GeneratorFunction, xs: Sequence[DensityState], ys: Sequence[DensityState], tols: Tolerances
 ) -> list[float]:
-    """``bregman_trace_form`` of each pair, its one-pair case.
+    """``bregman_trace_form`` of each pair, its one-pair case."""
+    return _contained_groups(f, xs, ys, tols, _trace_forms)
 
-    Pairs are grouped, as in ``_bregman_pairs``, by the number n of Y's
-    eigenvalues f' is taken on (d, or rank Y in the infinite class); each
-    group's support test, operator functions, products and traces are one
-    stack each, so each pair has the shapes, and the bits, of a one-pair
-    call.  In the infinite class a pair whose X leaks out of supp Y is
-    ``inf`` and evaluates no function.  A non-finite f value raises
-    ``DomainError`` for the first pair of its group that has one.
-    """
-    finite = f.finite_zero_slope
-    groups: dict[int, list[int]] = {}
-    for k, (x, y) in enumerate(zip(xs, ys)):
-        _check_dims(x, y)
-        groups.setdefault(y.dim if finite else y.rank, []).append(k)
-    values = [INF] * len(ys)
-    for n, ks in groups.items():
-        xv, yv = (_stack([states[k].v for k in ks]) for states in (xs, ys))
-        w = np.array([(xs[k].w, ys[k].w) for k in ks])
-        if not finite:  # as in support_contained
-            inner = xv.conj().swapaxes(1, 2) @ yv[:, :, n:]
-            leaks = w[:, None, 0] @ (inner.real**2 + inner.imag**2).sum(axis=2)[:, :, None]
-            kept = (leaks[:, 0, 0] < tols.eps_supp).tolist()
-            if not all(kept):
-                ks = [k for k, keep in zip(ks, kept) if keep]
-                if not ks:
-                    continue
-                xv, yv, w = xv[kept], yv[kept], w[kept]
-        fw = _function_values(f.values, w)
-        on = yv[:, :, :n]  # the eigenvectors f' is taken on
-        dfy = _assemble(on, f.slopes(w[:, 1, :n]))
-        expr = _assemble(xv, fw[:, 0]) - _assemble(yv, fw[:, 1])
-        expr -= dfy @ (_assemble(xv, w[:, 0]) - _assemble(yv, w[:, 1]))
-        if not finite:
-            support = hermitian_part(on @ on.conj().swapaxes(1, 2))
-            expr = support @ expr @ support
-        for k, value in zip(ks, np.trace(expr, axis1=1, axis2=2).real.tolist()):
-            values[k] = _clamp_nonneg(value, tols.tol_num)
-    return values
+
+def _trace_forms(f: GeneratorFunction, xs: Sequence[DensityState], ys: Sequence[DensityState], n: int) -> np.ndarray:
+    """The traces of the trace form, f' taken on the first n eigenvalues of each Y;
+    each step is one stack.  A non-finite f value raises ``DomainError`` for the
+    first pair that has one."""
+    xv, yv = _stack([x.v for x in xs]), _stack([y.v for y in ys])
+    w = np.array([(x.w, y.w) for x, y in zip(xs, ys)])
+    fw = _function_values(f.values, w)
+    on = yv[:, :, :n]  # the eigenvectors f' is taken on
+    dfy = _assemble(on, f.slopes(w[:, 1, :n]))
+    expr = _assemble(xv, fw[:, 0]) - _assemble(yv, fw[:, 1])
+    expr -= dfy @ (_assemble(xv, w[:, 0]) - _assemble(yv, w[:, 1]))
+    if not f.finite_zero_slope:
+        support = hermitian_part(on @ on.conj().swapaxes(1, 2))
+        expr = support @ expr @ support
+    return np.trace(expr, axis1=1, axis2=2).real
 
 
 def bregman_rank_one_pair(
@@ -208,17 +200,19 @@ def bregman_rank_one_pair(
     *,
     tols: Tolerances = DEFAULT_TOLS,
 ) -> float:
-    """Closed form for two pure states: (1 - tr PQ) (f'(1) - f'(0)).
+    """Closed form for two pure states: (1 - tr PQ) (f'(1) - f'(0)), 0 below ``tol_num``.
 
-    In the infinite-derivative regime distinct rank-one supports are never
-    nested, so the value is 0 for P = Q and +inf otherwise.
+    In the infinite-derivative regime tr((I - Q) P) = 1 - tr PQ is the support
+    test: the value is +inf when it reaches ``eps_supp``, and otherwise the
+    double sum over supp Q, (1 - tr PQ) f'(1).
     """
-    overlap = transition_probability(p, q)
-    if 1.0 - overlap < tols.tol_num:
-        return 0.0
-    if not f.finite_zero_slope:
+    gap = 1.0 - transition_probability(p, q)
+    if not f.finite_zero_slope and gap >= tols.eps_supp:
         return INF
-    return _clamp_nonneg((1.0 - overlap) * (f.slope(1.0) - f.slope_at_zero), tols.tol_num)
+    if gap < tols.tol_num:
+        return 0.0
+    kernel_slope = f.slope_at_zero if f.finite_zero_slope else 0.0
+    return _clamp_nonneg(gap * (f.slope(1.0) - kernel_slope), tols.tol_num)
 
 
 def rank_two_offset(f: GeneratorFunction, lam: float) -> float:
@@ -254,7 +248,7 @@ def bregman_rank_one_vs_rank_two(
     tr_rp = transition_probability(r, p)
     tr_rq = transition_probability(r, q)
     leak = 1.0 - tr_rp - tr_rq
-    if leak > tols.eps_supp:
+    if leak >= tols.eps_supp:
         if not f.finite_zero_slope:
             return INF
         raise ParameterError(

@@ -30,7 +30,8 @@ class Tolerances:
     cluster_tol -- a state is pure only if no other eigenvalue of its leading
                    eigenvalue's sign lies less than this below it
 
-    Each must be finite and >= 0 (``ParameterError`` otherwise).
+    Each must be finite and >= 0, and ``eps_supp`` > 0 (``ParameterError``
+    otherwise): at 0 every rounding leak would count as leaving a support.
     """
 
     tol_herm: float = 1e-9
@@ -42,9 +43,9 @@ class Tolerances:
 
     def __post_init__(self) -> None:
         for field in dataclasses.fields(self):
-            value = getattr(self, field.name)
-            if not (math.isfinite(value) and value >= 0.0):
-                raise ParameterError(f"tolerance {field.name} must be finite and >= 0, got {value!r}")
+            value, strict = getattr(self, field.name), field.name == "eps_supp"
+            if not (math.isfinite(value) and (value > 0.0 if strict else value >= 0.0)):
+                raise ParameterError(f"tolerance {field.name} must be finite and {'>' if strict else '>='} 0, got {value!r}")
 
     def replace(self, **kwargs: float) -> "Tolerances":
         return dataclasses.replace(self, **kwargs)

@@ -107,6 +107,11 @@ def _stack(arrays: Sequence[np.ndarray]) -> np.ndarray:
     return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
 
 
+def _decide_zeros(w: np.ndarray, tols: Tolerances) -> np.ndarray:
+    """``w`` with every eigenvalue below ``eps_supp`` exactly 0: the one zero rule."""
+    return np.where(w < tols.eps_supp, 0.0, w)
+
+
 def _assemble(v: np.ndarray, w: np.ndarray) -> np.ndarray:
     """V diag(w) V* of each (V, w) of a (k, d, n) and a (k, n) stack, with the bits
     of ``(v * w) @ v.conj().T`` on each."""
@@ -118,7 +123,7 @@ class DensityState:
     """A density operator A = V diag(w) V*: Hermitian, positive semidefinite, unit trace.
 
     ``w`` has one eigenvalue per column of the unitary ``v``, descending, with
-    eigenvalues below ``eps_supp`` exactly 0 for all support decisions.  The
+    eigenvalues below ``eps_supp`` exactly 0 (``_decide_zeros``).  The
     pair is fixed at construction: ``from_matrix`` runs one ``eigh``, while
     ``from_orthonormal`` and the constructors that know a state's spectrum
     already (``random_state``, conjugation and transpose images) attach it
@@ -188,8 +193,7 @@ class DensityState:
         for lowest in w[:, 0].tolist():
             if lowest < -tols.tol_psd:
                 raise ValidationError(f"state has negative eigenvalue {lowest:.3e} beyond {tols.tol_psd:.1e}")
-        w = w[:, ::-1]
-        w = np.where(w < tols.eps_supp, 0.0, w)
+        w = _decide_zeros(w[:, ::-1], tols)
         v = np.ascontiguousarray(v[:, :, ::-1])
         return [cls(wk, vk, matrix=mk) for wk, vk, mk in zip(w, v, matrices)]
 

@@ -30,6 +30,7 @@ from .generators import GeneratorFunction
 from .hermitian import (
     DensityState,
     RankOneProjection,
+    _decide_zeros,
     _finite_square,
     hermitian_part,
     transition_probability,
@@ -500,12 +501,14 @@ def rank_two_mixture(
     """The state lam P + (1 - lam) Q for orthogonal rank-one P, Q, lam in (0, 1/2).
 
     Built with its spectral decomposition attached directly, so no
-    eigendecomposition runs (the spectrum is {1 - lam, lam, 0}).
+    eigendecomposition runs (the spectrum is {1 - lam, lam, 0}, with lam exactly
+    0 below ``eps_supp``, as ``from_matrix`` would decide it).
     """
     _check_lambda(lam)
     if transition_probability(p, q) >= tols.tol_num:
         raise ParameterError("mixture requires orthogonal projections")
-    return DensityState.from_orthonormal([1.0 - lam, lam], [q.vector, p.vector])
+    mixture = DensityState.from_orthonormal([1.0 - lam, lam], [q.vector, p.vector])
+    return DensityState._built_on_read(lambda: mixture.matrix, _decide_zeros(mixture.w, tols), mixture.v)
 
 
 def _pair_divergences(f: GeneratorFunction, p: np.ndarray, kind: str, tols: Tolerances) -> np.ndarray:

@@ -11,7 +11,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLS, Tolerances
 from .errors import ParameterError
-from .hermitian import DensityState, RankOneProjection, _assemble, hermitian_part
+from .hermitian import DensityState, RankOneProjection, _assemble, _decide_zeros, hermitian_part
 
 __all__ = [
     "rng_for",
@@ -131,7 +131,6 @@ def _build_states(
     basis = _haar((gaussian[:, 0] + 1j * gaussian[:, 1]) / np.sqrt(2.0))
     matrices = hermitian_part(_assemble(basis, spectrum))
     order = np.argsort(-spectrum, axis=1, kind="stable")
-    w = np.take_along_axis(spectrum, order, axis=1)
-    w[w < tols.eps_supp] = 0.0
+    w = _decide_zeros(np.take_along_axis(spectrum, order, axis=1), tols)
     v = np.take_along_axis(basis, order[:, None, :], axis=2)
     return [DensityState(wk, vk, matrix=m) for m, wk, vk in zip(matrices, w, v)]

@@ -503,6 +503,8 @@ class TestToleranceFlags:
             (["--tol-num", "inf"], {}, "tol_num"),
             (["--tol-herm=-1e-9"], {}, "tol_herm"),
             ([], {"STATEDIV_EPS_SUPP": "nan"}, "eps_supp"),
+            (["--eps-supp", "0"], {}, "eps_supp"),
+            ([], {"STATEDIV_EPS_SUPP": "0"}, "eps_supp"),
             ([], {"STATEDIV_TOL_NUM": "abc"}, "STATEDIV_TOL_NUM"),
         ],
     )
@@ -521,7 +523,9 @@ class TestToleranceFlags:
             Tolerances(eps_supp=value)
         with pytest.raises(ParameterError, match="cluster_tol"):
             Tolerances().replace(cluster_tol=value)
-        assert Tolerances(eps_supp=0.0).eps_supp == 0.0
+        with pytest.raises(ParameterError, match="eps_supp must be finite and > 0"):
+            Tolerances(eps_supp=0.0)  # at 0 every rounding leak would leave a support
+        assert Tolerances(cluster_tol=0.0).cluster_tol == 0.0
 
     def test_env_override_is_honored(self, tmp_path, basis_states):
         import os

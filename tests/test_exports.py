@@ -275,6 +275,11 @@ def test_only_bisect_reads_bisect_tol():
     assert readers == ["_bisect"]
 
 
+def test_only_the_zero_rule_and_the_support_tests_read_eps_supp():
+    readers = {r for path in PACKAGE_FILES for r in _readers_of("eps_supp", path.read_text(encoding="utf-8"))}
+    assert readers == {"_decide_zeros", "_leaks", "bregman_rank_one_pair", "bregman_rank_one_vs_rank_two"}
+
+
 # The one-item wrappers of the stacked cores; a suite calls the cores instead.
 ONE_ITEM_WRAPPERS = {
     "bregman_trace_form",

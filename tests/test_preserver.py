@@ -231,6 +231,17 @@ class TestRankTwoExtremalValues:
         assert values.min() - bottom < 0.05 * (top - bottom)
 
 
+    @pytest.mark.parametrize("lam", [1e-11, 5e-11, 2e-10, 0.25])
+    def test_mixture_decides_zeros_as_from_matrix(self, lam):
+        e1, e2 = (RankOneProjection.from_vector(np.eye(3)[k]) for k in (0, 1))
+        mixture = rank_two_mixture(lam, e1, e2)
+        decomposed = DensityState.from_matrix(mixture.matrix)
+        assert mixture.matrix[0, 0] == lam  # the matrix keeps lam P; only the spectrum decides zeros
+        assert mixture.rank == decomposed.rank == (1 if lam < DEFAULT_TOLS.eps_supp else 2)
+        value = bregman(XLOGX, e1.to_state(), mixture)
+        assert math.isinf(value) == math.isinf(bregman(XLOGX, e1.to_state(), decomposed)) == (lam < DEFAULT_TOLS.eps_supp)
+
+
 class TestMaxDivergenceFunctional:
     def test_quadratic_pure_qubit(self):
         # max over the Bloch ball of tr(P - D)^2 is 2, at the antipodal pure state.

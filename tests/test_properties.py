@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from statediv import (
@@ -31,6 +31,7 @@ from statediv import (
     SymmetryOp,
     ValidationError,
     bregman,
+    bregman_rank_one_pair,
     bregman_trace_form,
     density_state,
     haar_unitary,
@@ -184,14 +185,37 @@ def test_jensen_via_bregman_agrees(pair):
         assert jensen_via_bregman(f, x, y) == pytest.approx(jensen(f, x, y), abs=1e-8)
 
 
-@given(state_pairs())
+@st.composite
+def tilted_pairs(draw):
+    """Y of rank r < d, and X on supp Y with its leading eigenvector tilted by theta
+    into the kernel of Y, sin^2 theta in [1e-11, 1e-9]: X leaks s sin^2 theta, s its
+    leading eigenvalue, on either side of eps_supp but never within a tenth of it."""
+    dim = draw(st.integers(2, 5))
+    rank = draw(st.integers(1, dim - 1))
+    basis = haar_unitary(dim, rng_for(draw(st.integers(0, 2**16))))
+    weights = np.array([draw(st.integers(1, 4)) for _ in range(rank)] + [0] * (dim - rank), dtype=float)
+    x_spectrum = np.concatenate([draw(spectra(rank)), np.zeros(dim - rank)])
+    sin2 = draw(st.floats(1e-11, 1e-9))
+    leak = float(x_spectrum[0]) * sin2
+    assume(abs(leak - EPS) > 0.1 * EPS)
+    c, s = math.sqrt(1.0 - sin2), math.sqrt(sin2)
+    tilted = basis.copy()
+    tilted[:, 0], tilted[:, -1] = c * basis[:, 0] + s * basis[:, -1], c * basis[:, -1] - s * basis[:, 0]
+    return _state(x_spectrum, tilted), _state(weights / weights.sum(), basis), leak
+
+
+@given(st.one_of(state_pairs().map(lambda pair: (*pair[:2], None)), tilted_pairs()))
 def test_infinite_iff_support_not_contained(pair):
-    x, y, _ = pair
+    x, y, leak = pair
     contained = support_contained(x, y)
+    if leak is not None:
+        assert contained == (leak < EPS)
     for f in GENERATORS:
         expect_inf = not f.finite_zero_slope and not contained
         assert math.isinf(bregman(f, x, y)) == expect_inf
         assert math.isinf(bregman_trace_form(f, x, y)) == expect_inf
+        if x.rank == y.rank == 1:
+            assert math.isinf(bregman_rank_one_pair(f, x.as_rank_one(), y.as_rank_one())) == expect_inf
 
 
 JENSEN_GENERATORS = [quadratic(), std_entropy()] + [power_generator(q) for q in (1.25, 1.5, 3.0)]
