@@ -200,7 +200,7 @@ def bregman_rank_one_pair(
     *,
     tols: Tolerances = DEFAULT_TOLS,
 ) -> float:
-    """Closed form for two pure states: (1 - tr PQ) (f'(1) - f'(0)), 0 below ``tol_num``.
+    """Closed form for two pure states: (1 - tr PQ) (f'(1) - f'(0)), 0 where that is below ``tol_num``.
 
     In the infinite-derivative regime tr((I - Q) P) = 1 - tr PQ is the support
     test: the value is +inf when it reaches ``eps_supp``, and otherwise the
@@ -209,10 +209,9 @@ def bregman_rank_one_pair(
     gap = 1.0 - transition_probability(p, q)
     if not f.finite_zero_slope and gap >= tols.eps_supp:
         return INF
-    if gap < tols.tol_num:
-        return 0.0
     kernel_slope = f.slope_at_zero if f.finite_zero_slope else 0.0
-    return _clamp_nonneg(gap * (f.slope(1.0) - kernel_slope), tols.tol_num)
+    value = gap * (f.slope(1.0) - kernel_slope)
+    return 0.0 if value < tols.tol_num else value
 
 
 def rank_two_offset(f: GeneratorFunction, lam: float) -> float:

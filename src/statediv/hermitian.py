@@ -126,15 +126,22 @@ class DensityState:
     eigenvalues below ``eps_supp`` exactly 0 (``_decide_zeros``).  The
     pair is fixed at construction: ``from_matrix`` runs one ``eigh``, while
     ``from_orthonormal`` and the constructors that know a state's spectrum
-    already (``random_state``, conjugation and transpose images) attach it
-    without one.  ``from_matrix`` is the one-matrix case of ``_from_matrices``,
-    which builds the states of a stack of matrices with one stacked check of
-    each kind and one stacked ``eigh``.
+    already (``random_state``; conjugation, transpose, depolarizing and
+    diagonal images) attach it without one.  ``from_matrix`` is the
+    one-matrix case of ``_from_matrices``, which builds the states of a stack
+    of matrices with one stacked check of each kind and one stacked ``eigh``.
+
+    Support first: a state built from orthonormal vectors holds them as the
+    leading columns of ``v`` and builds the kernel columns that complete the
+    basis when ``v`` is first read; its conjugation, transpose and
+    depolarizing images map those leading columns at once and the kernel
+    when their own ``v`` is read, so the leading columns of a full ``v``
+    keep the bits they had.  ``as_rank_one`` reads the leading columns only.
 
     ``matrix`` is given at construction or, for ``from_orthonormal`` and the
-    conjugation and transpose images, built when first read; until then such
-    a state holds what it is built from (for an image, its source state).
-    The support projection is built only when read.
+    images, built when first read; until then such a state holds what it is
+    built from (for an image, its source state).  The support projection is
+    built only when read.
     """
 
     w: np.ndarray = field(repr=False)
@@ -143,16 +150,61 @@ class DensityState:
     def __init__(self, w: np.ndarray, v: np.ndarray, *, matrix: np.ndarray) -> None:
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "v", v)
+        self.__dict__["_leading"] = v  # the columns of v known since construction
         self.__dict__["matrix"] = matrix  # where ``matrix`` keeps a built value
 
     @classmethod
-    def _built_on_read(cls, build: Callable[[], np.ndarray], w: np.ndarray, v: np.ndarray) -> "DensityState":
-        """The state V diag(w) V* whose matrix ``build()`` returns when first read."""
+    def _built_on_read(
+        cls,
+        build: Callable[[], np.ndarray],
+        w: np.ndarray,
+        v: np.ndarray,
+        kernel: Callable[[], np.ndarray] | None = None,
+    ) -> "DensityState":
+        """The state V diag(w) V* whose matrix ``build()`` returns when first read.
+
+        V is ``v`` or, with ``kernel``, ``v`` followed by the columns ``kernel()``
+        returns when V is first read.
+        """
         state = cls.__new__(cls)
         object.__setattr__(state, "w", w)
-        object.__setattr__(state, "v", v)
+        state.__dict__["_leading"] = v
+        if kernel is None:
+            state.__dict__["v"] = v
+        else:
+            state.__dict__["_kernel"] = kernel
         state.__dict__["_build"] = build
         return state
+
+    def __getattr__(self, name: str):
+        # Reached only for a name the instance lacks: ``v`` before its kernel is built.
+        # V is stored before the kernel source is released, so a concurrent first read
+        # finds one of the two.
+        if name == "v":
+            kernel = self.__dict__.get("_kernel")
+            if kernel is not None:
+                self.__dict__["v"] = np.concatenate((self._leading, kernel()), axis=1)
+                self.__dict__.pop("_kernel", None)
+            if "v" in self.__dict__:
+                return self.__dict__["v"]
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+
+    def _image(
+        self,
+        w: np.ndarray,
+        build: Callable[[], np.ndarray],
+        columns: Callable[[np.ndarray], np.ndarray] | None = None,
+    ) -> "DensityState":
+        """The state with eigenvalues ``w`` and eigenvectors ``columns(V)`` (V itself
+        when ``columns`` is None), whose matrix ``build()`` returns when first read.
+
+        The leading columns of V are mapped now; its kernel columns are read and
+        mapped when the image's ``v`` is first read.
+        """
+        columns = columns or (lambda c: c)
+        k = self._leading.shape[1]
+        kernel = None if k == self.dim else (lambda: columns(self.v[:, k:]))
+        return DensityState._built_on_read(build, w, columns(self._leading), kernel)
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -201,22 +253,35 @@ class DensityState:
     def from_orthonormal(cls, weights: Sequence[float], vectors: Sequence[np.ndarray]) -> "DensityState":
         """The state sum_k weights[k] |v_k><v_k|: orthonormal v_k, decreasing weights summing to 1.
 
-        No eigendecomposition runs: one Householder reflector per vector,
-        O(d^2) each, completes the basis, whose other columns get eigenvalue 0.
+        No eigendecomposition runs.  The v_k are the leading columns of ``v``;
+        the other columns, eigenvalue 0, are built when ``v`` is first read:
+        one Householder reflector per vector, O(d^2) each, completes the basis.
+        The vectors are kept, not copied, for that read; like every array a
+        state is built from, they must not change afterwards.
         """
         dim, k = vectors[0].shape[0], len(vectors)
-        v = np.eye(dim, dtype=complex)
+        leading = np.empty((dim, k), dtype=complex)
         for j, u in enumerate(vectors):
-            # Reflector fixing columns < j and taking column j to u, up to a phase.
-            h = u @ v.conj()
-            h[:j] = 0.0
-            hj = complex(h[j])
-            h[j] = hj + (hj / abs(hj) if hj else 1.0)
-            v -= (v @ h)[:, None] * (h.conj() * (2.0 / np.vdot(h, h).real))
-            v[:, j] = u
+            leading[:, j] = u
+
+        def kernel() -> np.ndarray:
+            # Reads the vectors as given: the reflector's product rounds by their strides.
+            v = np.eye(dim, dtype=complex)
+            for j, u in enumerate(vectors):
+                # Reflector fixing columns < j and taking column j to u, up to a phase.
+                h = u @ v.conj()
+                h[:j] = 0.0
+                hj = complex(h[j])
+                h[j] = hj + (hj / abs(hj) if hj else 1.0)
+                v -= (v @ h)[:, None] * (h.conj() * (2.0 / np.vdot(h, h).real))
+                v[:, j] = u
+            return v[:, k:]
+
         w = np.zeros(dim)
         w[:k] = weights
-        return cls._built_on_read(lambda: hermitian_part((v[:, :k] * w[:k]) @ v[:, :k].conj().T), w, v)
+        return cls._built_on_read(
+            lambda: hermitian_part((leading * w[:k]) @ leading.conj().T), w, leading, None if k == dim else kernel
+        )
 
     @property
     def dim(self) -> int:
@@ -248,7 +313,7 @@ class DensityState:
                 f"state is not rank-one: leading eigenvalue {top!r} "
                 f"with multiplicity {multiplicity}"
             )
-        vector = self.v[:, 0]
+        vector = self._leading[:, 0]
         return RankOneProjection.from_vector(vector * vector[np.argmax(np.abs(vector))].conj())
 
 

@@ -105,16 +105,22 @@ class SymmetryOp:
         return self.matrix.shape[0]
 
     def apply_matrix(self, a: np.ndarray) -> np.ndarray:
-        a = np.conj(a) if self.antiunitary else a
-        return self.matrix @ a @ self.matrix.conj().T
+        """U A U* (U conj(A) U* when antiunitary), of one matrix or of each matrix in a stack."""
+        return self._apply_in_place(np.array(a, dtype=complex))
+
+    def _apply_in_place(self, a: np.ndarray) -> np.ndarray:
+        """``apply_matrix`` of a complex array the caller owns, written over it: the
+        one array it allocates is the product U A (U conj(A))."""
+        if self.antiunitary:
+            np.conj(a, out=a)
+        return np.matmul(self.matrix @ a, self.matrix.conj().T, out=a)
 
     def apply_state(self, state: DensityState) -> DensityState:
         """The image state, carrying the input's eigenvalues with eigenvectors
-        U V (U conj(V) when antiunitary); no eigendecomposition runs, and the
-        image matrix is built when first read."""
-        return DensityState._built_on_read(
-            lambda: hermitian_part(self.apply_matrix(state.matrix)), state.w, self.apply_vector(state.v)
-        )
+        U V (U conj(V) when antiunitary); no eigendecomposition runs.  The
+        leading columns of V are mapped at once and its kernel when the
+        image's ``v`` is first read; the image matrix is built when first read."""
+        return state._image(state.w, lambda: hermitian_part(self.apply_matrix(state.matrix)), self.apply_vector)
 
     def apply_vector(self, v: np.ndarray) -> np.ndarray:
         v = np.conj(v) if self.antiunitary else v
@@ -167,35 +173,56 @@ def conjugation_oracle(op: SymmetryOp, tols: Tolerances = DEFAULT_TOLS) -> Prese
 def transpose_oracle(dim: int) -> PreserverOracle:
     """A -> A^T; equals entrywise conjugation, an antiunitary conjugation with U = I.
 
-    The image carries the input's eigenvalues with eigenvectors conj(V); its
-    matrix is built when first read.
+    The image carries the input's eigenvalues with eigenvectors conj(V): the
+    leading columns of V conjugated at once, its kernel when the image's ``v``
+    is first read.  Its matrix is built when first read.
     """
 
     def mapping(s: DensityState) -> DensityState:
-        return DensityState._built_on_read(lambda: hermitian_part(s.matrix.T), s.w, s.v.conj())
+        return s._image(s.w, lambda: hermitian_part(s.matrix.T), np.conj)
 
     return PreserverOracle(dim=dim, mapping=mapping, label="transpose")
 
 
 def depolarizing_oracle(dim: int, alpha: float = 0.5, tols: Tolerances = DEFAULT_TOLS) -> PreserverOracle:
-    """A -> (1 - alpha) A + alpha I/d; contracts divergences, not a preserver."""
+    """A -> (1 - alpha) A + alpha I/d; contracts divergences, not a preserver.
+
+    The image of the state V diag(w) V* is known in closed form, so no
+    eigendecomposition runs: it keeps the input's eigenvectors (the kernel
+    built when read, as for ``SymmetryOp.apply_state``) with eigenvalues
+    (1 - alpha) w + alpha/d, zeros decided; its matrix, built when first read,
+    is taken from that same V diag(w) V*, so it has the spectrum it carries.
+    The images are valid by construction once alpha lies in [0, 1], which is
+    checked here, once.
+    """
     if not 0.0 <= alpha <= 1.0:
         raise ParameterError(f"depolarizing weight must lie in [0, 1], got {alpha!r}")
     mixed = np.eye(dim, dtype=complex) / dim
 
     def mapping(s: DensityState) -> DensityState:
-        return DensityState.from_matrix((1.0 - alpha) * s.matrix + alpha * mixed, tols)
+        w = _decide_zeros((1.0 - alpha) * s.w + alpha / dim, tols)
+        return s._image(w, lambda: hermitian_part((1.0 - alpha) * s.reconstruct() + alpha * mixed))
 
     return PreserverOracle(dim=dim, mapping=mapping, label=f"depolarize({alpha:g})")
 
 
 def diagonal_oracle(dim: int, tols: Tolerances = DEFAULT_TOLS) -> PreserverOracle:
-    """A -> diag(diag(A)); projection onto the diagonal, not a preserver."""
-    return PreserverOracle(
-        dim=dim,
-        mapping=lambda s: DensityState.from_matrix(np.diag(np.diagonal(s.matrix)), tols),
-        label="diagonal",
-    )
+    """A -> diag(diag(A)); projection onto the diagonal, not a preserver.
+
+    The image is known in closed form, so no eigendecomposition runs: its
+    eigenvalues are diag(A), sorted descending (stably) with zeros decided,
+    and its eigenvectors the identity's columns in the same order; its
+    matrix is built when first read.
+    """
+    basis = np.eye(dim, dtype=complex)
+
+    def mapping(s: DensityState) -> DensityState:
+        diagonal = np.diagonal(s.matrix)
+        order = np.argsort(-diagonal.real, kind="stable")
+        w = _decide_zeros(diagonal.real[order], tols)
+        return DensityState._built_on_read(lambda: hermitian_part(np.diag(diagonal)), w, basis[:, order])
+
+    return PreserverOracle(dim=dim, mapping=mapping, label="diagonal")
 
 
 # ---------------------------------------------------------------------------
@@ -461,12 +488,15 @@ def _probe_images(oracle: PreserverOracle, tols: Tolerances) -> list[RankOneProj
 def _probe_residual(
     op: SymmetryOp, probes: Sequence[RankOneProjection], images: Sequence[RankOneProjection]
 ) -> float:
-    """Max-entry deviation between op-applied probes and the given images."""
+    """Max-entry deviation between op-applied probes and the given images: the largest
+    entry of |U phi><U phi| - |psi><psi| over the probes, one probe at a time."""
+    deviations = []
+    for probe, image in zip(probes, images, strict=True):
+        mapped = op.apply_vector(probe.vector)
+        mapped = mapped / float(np.linalg.norm(mapped))
+        deviations.append(np.max(np.abs(np.outer(mapped, mapped.conj()) - image.matrix)))
     # np.max, not the builtin: max(0.0, nan) drops a NaN that must fail the fit.
-    return float(np.max([
-        np.max(np.abs(op.apply_projection(probe).matrix - image.matrix))
-        for probe, image in zip(probes, images, strict=True)
-    ]))
+    return float(np.max(deviations))
 
 
 # ---------------------------------------------------------------------------
@@ -508,15 +538,15 @@ def rank_two_mixture(
     if transition_probability(p, q) >= tols.tol_num:
         raise ParameterError("mixture requires orthogonal projections")
     mixture = DensityState.from_orthonormal([1.0 - lam, lam], [q.vector, p.vector])
-    return DensityState._built_on_read(lambda: mixture.matrix, _decide_zeros(mixture.w, tols), mixture.v)
+    return mixture._image(_decide_zeros(mixture.w, tols), lambda: mixture.matrix)
 
 
 def _pair_divergences(f: GeneratorFunction, p: np.ndarray, kind: str, tols: Tolerances) -> np.ndarray:
     """Divergence values of pure pairs with transition probabilities ``p``, from closed forms.
 
     * Jensen: ``jensen_rank_one``.
-    * Bregman, finite f'(0): (1 - p)(f'(1) - f'(0)), and 0 where
-      1 - p < tol_num, as in ``bregman_rank_one_pair``.
+    * Bregman, finite f'(0): (1 - p)(f'(1) - f'(0)), and 0 where that is
+      below tol_num, as in ``bregman_rank_one_pair``.
     * Bregman, infinite f'(0): H_f(R, lam P + mu Q) = -f'(lam) p - f'(mu)(1 - p) + c
       with lam = PROBE_LAM, as in ``bregman_rank_one_vs_rank_two``, with Q the
       orthocomplement of P inside span(R, P), so that tr RP = p and tr RQ = 1 - p.
@@ -524,7 +554,8 @@ def _pair_divergences(f: GeneratorFunction, p: np.ndarray, kind: str, tols: Tole
     if kind == "jensen":
         return jensen_rank_one(f, p, tols=tols)
     if f.finite_zero_slope:
-        return np.where(1.0 - p < tols.tol_num, 0.0, (1.0 - p) * (f.slope(1.0) - f.slope_at_zero))
+        values = (1.0 - p) * (f.slope(1.0) - f.slope_at_zero)
+        return np.where(values < tols.tol_num, 0.0, values)
     lam = PROBE_LAM
     return -f.slope(lam) * p - f.slope(1.0 - lam) * (1.0 - p) + rank_two_offset(f, lam)
 
@@ -570,14 +601,6 @@ def probe_transitions_via_divergence(
 
 # ---------------------------------------------------------------------------
 # Preserver verification harness
-
-
-def _divergence_deviation(u: float, v: float) -> float:
-    if math.isinf(u) and math.isinf(v):
-        return 0.0
-    if math.isinf(u) or math.isinf(v):
-        return math.inf
-    return abs(u - v)
 
 
 @dataclass(frozen=True)
@@ -694,9 +717,11 @@ def verify_preserver(
         score = _bregman_pairs if kind == "bregman" else _jensen_pairs
         return score(f, [states[a] for a, _ in pair_indices], [states[b] for _, b in pair_indices], tols)
 
-    before, after = divergences(inputs), divergences(images)
-    deviations = [_divergence_deviation(u, v) for u, v in zip(before, after)]
-    max_div_dev = float(np.max(deviations))  # NaN anywhere gives NaN; builtin max can drop it
+    before, after = np.array(divergences(inputs)), np.array(divergences(images))
+    # Equal values, two infinities among them, deviate by 0; a NaN deviates by NaN,
+    # which np.max keeps (the builtin max can drop it).
+    deviations = np.abs(np.subtract(before, after, out=np.zeros(len(before)), where=before != after))
+    max_div_dev = float(np.max(deviations))
 
     images_rank_one = True
     reconstruction_error: str | None = None
@@ -716,10 +741,10 @@ def verify_preserver(
         except NotAPreserverError as exc:
             reconstruction_error = str(exc)
         if symmetry is not None:
-            state_residual = float(np.max([  # np.max keeps a NaN that the builtin can drop
-                np.max(np.abs(symmetry.apply_matrix(state.matrix) - image.matrix))
-                for state, image in zip(inputs, images)
-            ]))
+            residual = symmetry._apply_in_place(np.array([state.matrix for state in inputs]))
+            for r, image in zip(residual, images):
+                r -= image.matrix
+            state_residual = float(np.abs(residual).max())  # a NaN entry gives NaN
 
     return PreserverVerification(
         kind=kind,

@@ -59,8 +59,14 @@ def random_pure(dim: int, rng: np.random.Generator) -> RankOneProjection:
 
 
 def random_simplex_point(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform point on the probability simplex (Dirichlet with unit weights)."""
-    return rng.dirichlet(np.ones(n))
+    """Uniform point on the probability simplex (Dirichlet with unit weights).
+
+    Bit for bit ``rng.dirichlet(np.ones(n))``, which draws the same n standard
+    exponentials and scales them by the reciprocal of their left-to-right sum
+    (``np.sum`` sums pairwise and would round differently).
+    """
+    e = rng.standard_exponential(n)
+    return e * (1.0 / np.add.accumulate(e)[-1])
 
 
 def random_state(

@@ -280,6 +280,17 @@ def test_only_the_zero_rule_and_the_support_tests_read_eps_supp():
     assert readers == {"_decide_zeros", "_leaks", "bregman_rank_one_pair", "bregman_rank_one_vs_rank_two"}
 
 
+def test_preserver_runs_no_eigendecomposition():
+    """The built-in oracles know their images' spectra, so ``preserver.py`` decomposes
+    no matrix: it reads neither ``eigh`` nor a ``DensityState`` matrix constructor.
+    Its one ``from_matrix`` read is ``SymmetryOp.from_matrix``, the unitarity check."""
+    source = (ROOT / "src" / "statediv" / "preserver.py").read_text(encoding="utf-8")
+    for name in ("eigh", "eigvalsh", "_from_matrices", "density_state"):
+        assert _readers_of(name, source) == [], name
+    assert _readers_of("from_matrix", source) == ["conjugation_oracle"]
+    assert _calls_of({"SymmetryOp.from_matrix", "DensityState.from_matrix"}, source) == ["SymmetryOp.from_matrix"]
+
+
 # The one-item wrappers of the stacked cores; a suite calls the cores instead.
 ONE_ITEM_WRAPPERS = {
     "bregman_trace_form",

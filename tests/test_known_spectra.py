@@ -1,12 +1,13 @@
 """States whose spectrum is known carry it: no eigendecomposition runs.
 
-``random_state`` attaches its simplex weights and Haar columns, and conjugation
+``random_state`` attaches its simplex weights and Haar columns, conjugation
 and transpose images attach the input's eigenvalues with the moved
-eigenvectors.  These tests check that the attached decompositions describe the
-stored matrices, that a stacked draw equals consecutive ``random_state`` calls
-bit for bit, that the preserver engine calls ``eigh`` only for maps whose
-images have an unknown spectrum, and the exact rules that used to come from an
-``eigh``.
+eigenvectors, and depolarizing and diagonal images their closed-form spectra.
+These tests check that the attached decompositions describe the stored
+matrices, that a stacked draw equals consecutive ``random_state`` calls bit for
+bit, that the preserver engine calls ``eigh`` only for maps whose images have
+an unknown spectrum (none of the built-in oracles), and the exact rules that
+used to come from an ``eigh``.
 """
 
 import subprocess
@@ -23,8 +24,10 @@ from statediv import (
     ValidationError,
     conjugation_oracle,
     depolarizing_oracle,
+    diagonal_oracle,
     haar_unitary,
     parse_generator,
+    random_simplex_point,
     random_state,
     rng_for,
     transpose_oracle,
@@ -126,6 +129,13 @@ class TestStackedSampler:
                 assert state.v.tobytes() == v.tobytes()
         assert len({rng.integers(2**62) for rng in rngs}) == 1  # the same draws were consumed
 
+    @pytest.mark.parametrize("n", [1, 9, 64])
+    def test_simplex_point_is_the_unit_dirichlet_draw(self, n):
+        rngs = [rng_for(1400 + n) for _ in range(2)]
+        for _ in range(5):
+            assert random_simplex_point(n, rngs[0]).tobytes() == rngs[1].dirichlet(np.ones(n)).tobytes()
+        assert rngs[0].integers(2**62) == rngs[1].integers(2**62)  # the same draws were consumed
+
     def test_no_states_draw_nothing(self):
         rng, untouched = rng_for(1300), rng_for(1300)
         assert sampling._random_states(0, 4, rng=rng) == []
@@ -160,10 +170,13 @@ class TestEighCount:
             assert passed
             assert calls == 0, (kind, spec)
 
-    def test_depolarizing_oracle_still_decomposes(self):
-        calls, passed = self._count(parse_generator("quadratic"), depolarizing_oracle(3), "bregman")
-        assert not passed
-        assert calls > 0
+    @pytest.mark.parametrize("dim", [3, 8])
+    @pytest.mark.parametrize("oracle", [depolarizing_oracle, diagonal_oracle], ids=["depolarizing", "diagonal"])
+    def test_depolarizing_and_diagonal_verifications_make_no_eigh_call(self, dim, oracle):
+        for kind, spec in ROUTES:
+            calls, passed = self._count(parse_generator(spec), oracle(dim), kind)
+            assert not passed
+            assert calls == 0, (kind, spec)
 
 
 def _cluster_starts(w: np.ndarray, cluster_tol: float) -> np.ndarray:

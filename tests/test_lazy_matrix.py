@@ -3,8 +3,11 @@
 ``from_orthonormal`` and conjugation and transpose images know their spectrum
 and build their matrix only when something reads it, with the expression they
 once ran at construction, so every matrix that is read keeps its bits.  The
-preserver engine reads only the spectra of its probe states and probe images,
-so it builds none of their matrices.
+same states build the kernel columns of ``v`` on first read: the completed
+basis equals the one once built at construction, and an image's leading
+columns keep the bits they were mapped with.  The preserver engine reads only
+the spectra and leading columns of its probe states and probe images, so it
+builds none of their matrices or kernels.
 """
 
 import sys
@@ -35,6 +38,10 @@ QUAD = parse_generator("quadratic")
 
 def _built(state: DensityState) -> bool:
     return "matrix" in vars(state)
+
+
+def _completed(state: DensityState) -> bool:
+    return "v" in vars(state)
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -136,6 +143,37 @@ class TestBuiltOnlyWhenRead:
             assert len(read) == 8 and all(_same_bits(m, state.matrix) for m in read)
             assert "_build" not in vars(lazy)
 
+    def test_concurrent_first_reads_see_one_basis(self):
+        state = random_pure(4, rng_for(3)).to_state()
+        leading, full = state._leading, state.v
+
+        def slow_kernel() -> np.ndarray:
+            time.sleep(0.001)
+            return full[:, 1:].copy()
+
+        for _ in range(20):
+            lazy = DensityState._built_on_read(lambda: state.matrix, state.w, leading, slow_kernel)
+            barrier = threading.Barrier(8)
+            read: list[np.ndarray] = []
+
+            def reader() -> None:
+                barrier.wait(timeout=10)
+                read.append(lazy.v)
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                threads = [threading.Thread(target=reader) for _ in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            assert len(read) == 8 and all(_same_bits(v, full) for v in read)
+            assert "_kernel" not in vars(lazy)
+
     def test_an_eager_state_keeps_its_matrix(self):
         state = random_state(4, rng=rng_for(1))
         assert _built(state)
@@ -143,7 +181,8 @@ class TestBuiltOnlyWhenRead:
 
 
 class TestVerifyBuildsNoProbeMatrix:
-    """``verify_preserver`` reads only ``(w, V)`` of its probe states and probe images."""
+    """``verify_preserver`` reads only ``w`` and the leading column of ``v`` of its probe
+    states and probe images, and conjugates the sampled states with one stacked product."""
 
     @staticmethod
     def _run(mapping, dim: int, kind: str):
@@ -156,11 +195,11 @@ class TestVerifyBuildsNoProbeMatrix:
 
         oracle = PreserverOracle(dim=dim, mapping=recording, label="recording")
         with mock.patch.object(
-            SymmetryOp, "apply_matrix", autospec=True, side_effect=SymmetryOp.apply_matrix
-        ) as apply_matrix:
+            SymmetryOp, "_apply_in_place", autospec=True, side_effect=SymmetryOp._apply_in_place
+        ) as apply_in_place:
             outcome = verify_preserver(QUAD, oracle, kind, sample_size=20, seed=5)
         assert outcome.passed
-        return seen, apply_matrix.call_count
+        return seen, apply_in_place.call_count
 
     @pytest.mark.parametrize("kind", ["bregman", "jensen"])
     @pytest.mark.parametrize("dim", [3, 8])
@@ -171,10 +210,12 @@ class TestVerifyBuildsNoProbeMatrix:
         else:
             op = SymmetryOp(matrix=haar_unitary(dim, rng_for(400 + dim)), antiunitary=route == "antiunitary")
             mapping = op.apply_state
-        seen, apply_matrix_calls = self._run(mapping, dim, kind)
+        seen, conjugations = self._run(mapping, dim, kind)
         samples, probes = seen[:42], seen[42:]
         assert len(probes) == 2 * dim
         assert not any(_built(state) or _built(image) for state, image in probes)
-        # 42 sampled images are compared with U A U*; a conjugation image also builds its own matrix.
+        assert not any(_completed(state) or _completed(image) for state, image in probes)
+        # The 42 sampled images are compared with U A U*, one stacked product; a
+        # conjugation image also builds its own matrix.
         assert all(_built(image) for _, image in samples)
-        assert apply_matrix_calls == (42 if route == "transpose" else 2 * 42)
+        assert conjugations == (1 if route == "transpose" else 1 + 42)

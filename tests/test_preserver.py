@@ -673,57 +673,60 @@ class TestVerifyPreserver:
 
 # SHA-256 of json.dumps(verify_preserver(...).to_dict(), sort_keys=True) with
 # default arguments; every numeric field equals the one taken when sampled
-# states were drawn and scored one at a time.  Conjugation oracles use
+# states were drawn and scored one at a time.  The unitary, antiunitary and
+# depolarizing cases were re-taken when probe images came to map one column
+# and depolarizing images to carry their closed-form spectrum; every number
+# moved by less than 1e-14 and no verdict changed.  Conjugation oracles use
 # haar_unitary(dim, rng_for(1100 + dim)).
 VERIFY_DIGESTS = {
     (3, "bregman", "xlogx", "unitary"):
-        "94bb6273ed18216329f11faf5a0fef7204b47d0c726e020748a091c2e75f75d0",
+        "480db151925c005bb910985376335a3d30c693e4916f729ee45821f37f800f06",
     (3, "bregman", "xlogx", "antiunitary"):
-        "ec504fbde942ea4ff0ce0b5a04110d2b7fb3bb7142544902cbcc3a0ece91c466",
+        "df16789af6e8e70cf7a0fa393288c4b138d06973d4ce344ff8078829a21b7309",
     (3, "bregman", "xlogx", "transpose"):
         "e4f7c29441e43ce30989422af0c6e9bba510a8cc216d52ca984071a40456721b",
     (3, "bregman", "xlogx", "depolarizing"):
         "63e4a098867e963cd7d0d775e47b3449ba0b68016de3a33ba2fc2f46982a85e7",
     (3, "bregman", "quadratic", "unitary"):
-        "c2b7773cee641903a07260beeac68e087d3e1831da5510b187d4cdfaedea8cf9",
+        "42850952097d52fa88d3c5a8c75e1360dcc4a6412d253aeee04c532f5d623083",
     (3, "bregman", "quadratic", "antiunitary"):
-        "cbad16f3328ca7f02190584894b1adf06708f1eba7b8d3306a7120c4859edee0",
+        "9ff871ee3620308d3601f3d5442e9b4b409301d7478cf899e66b91e8b53c9542",
     (3, "bregman", "quadratic", "transpose"):
         "c8dad17fe8aa8e4fe3458c9383e3511eb210623ffe97f2ca996ddc3486fc79b6",
     (3, "bregman", "quadratic", "depolarizing"):
-        "0c1068c71482c81958270c0dabb17363339af0b49d189f948ffe05f7818572db",
+        "3b34844eeea606e5c88e8f0893842e704fe8f2ca8c9844c71a3615a48b96e166",
     (3, "jensen", "quadratic", "unitary"):
-        "3bb75e764af2ec9ad2885b32badfce0817c6cdb2346f12dc831f715053acd36a",
+        "11c7d6b1e3eb9f0482d12f6206cd0b025aa2d1d794311330ed437736cad4d5ba",
     (3, "jensen", "quadratic", "antiunitary"):
-        "4100390e4fb177f1aa6bef51155eb0cb5dfdb66479aa85c52e5fcdd40ea1a41d",
+        "4c8c6422ee2caaa92b6db26fa8a2040ab2e82c923b58e742032570aa7f37e982",
     (3, "jensen", "quadratic", "transpose"):
         "4d30b1c4a6816dfc94a4c575cc92471b945c5a9848249935be5fb82a077fe366",
     (3, "jensen", "quadratic", "depolarizing"):
-        "1caea4141d65eb05f297be92fd896e6217b499e6e527bac54202a5a1554695d0",
+        "eae410f326efa933d7981db4d367aa8e4cd2dbae4ed19cd2bc6d4e41ff898606",
     (8, "bregman", "xlogx", "unitary"):
-        "6b36762e0fa792720195b17dbfbf5041493713e7fe2b5982666415cf82680e5d",
+        "55c44763b8d13b5cb110b2be86d9571677f87ff0e4d6ad2ba88b186abafbcd05",
     (8, "bregman", "xlogx", "antiunitary"):
-        "051ca6d59215a4c400209ebc3a0f10632fc7e58be943e83f8381758cb9844c0e",
+        "8e93645c2bdf616848778125bf0ca12be67d17ecd6d1ddedf102540341ebc38e",
     (8, "bregman", "xlogx", "transpose"):
         "58d44e4100e7a7b56c7b6dea9250b2f22f9f3176957402c6460a194cd95a09fb",
     (8, "bregman", "xlogx", "depolarizing"):
         "ca0e039ce4d862c1fe3ecce40c262deb8910ef4304d139c9d379294878fd3101",
     (8, "bregman", "quadratic", "unitary"):
-        "74e78e6e81bf7848deffb9a9d1427b9f562e391686cf6b28aa5a861137ae06d5",
+        "f9dd369bf2c4eff1a58bd6c4c6f1f2323a6b38219e7bb45861fde792965b4844",
     (8, "bregman", "quadratic", "antiunitary"):
-        "bb2847082fca672f6d45f7815a544df9f55ebe0c9a726ae9eae74fb091d25d09",
+        "b279fc8707154f340da2b25e26f5ecfb90c57015d66ff2561537fe2f774ffc18",
     (8, "bregman", "quadratic", "transpose"):
         "427426832a98ec3ecd459393e429c57aabd40359f6b4dc2726396da5acaf3d5f",
     (8, "bregman", "quadratic", "depolarizing"):
-        "f8fda6eeec428d0cf5efd89af21b355a309e70dce855608df5a84c468d8ec74f",
+        "5885b804623a03d7aa85431a1e25f8763202af29a179916e3581b71d81809377",
     (8, "jensen", "quadratic", "unitary"):
-        "d7488bc10d865c9f2717875cb3f749d9c0d1e7120dafbfe938050b599479c916",
+        "48b277fd358cc7deb4cfa6a7cbc913deb0dab1990816453eadb4aeb174880b44",
     (8, "jensen", "quadratic", "antiunitary"):
-        "1e137fbb7a5b68e993e59c65ee3509ad410ae638dd36c16bcafcf7c6abb8c293",
+        "23391498d33c5445a819e002294bead18df81c05be2837ddd8c2612e78e79c59",
     (8, "jensen", "quadratic", "transpose"):
         "47c34aeb9ded9ddfc5e0eb897197c791a75d18973d630c67b14a8bd5c1d7658b",
     (8, "jensen", "quadratic", "depolarizing"):
-        "f7196d909dd6dd90b328202ff00217d7f389eccb89d52815c2a9a3098fead4dc",
+        "b60145692a3e85de074e7f4dcb6f54a4046f79a3c297d251ce1d869e9e684196",
 }
 
 

@@ -10,8 +10,11 @@ Bregman and Jensen cores, which must equal one-pair calls bit for bit.
 So must the stacked trace form, midpoints, Jensen via Bregman, state draws
 and ``from_matrix`` (d = 2..8, under tolerances other than the defaults).
 Perturbed probe images of a conjugation either reconstruct within
-``RECONSTRUCT_TOL`` or are rejected as no preserver.  The hypothesis profile is
-fixed in conftest.py.
+``RECONSTRUCT_TOL`` or are rejected as no preserver.  The closed-form
+depolarizing and diagonal images agree with ``from_matrix`` of their own
+matrix, and a basis whose kernel is completed on read has the bits of the
+basis once completed at construction.  The hypothesis profile is fixed in
+conftest.py.
 """
 
 import dataclasses
@@ -31,6 +34,9 @@ from statediv import (
     SymmetryOp,
     ValidationError,
     bregman,
+    conjugation_oracle,
+    depolarizing_oracle,
+    diagonal_oracle,
     bregman_rank_one_pair,
     bregman_trace_form,
     density_state,
@@ -46,6 +52,7 @@ from statediv import (
     rng_for,
     support_contained,
     transition_from_jensen,
+    transpose_oracle,
     wigner_probes,
     wigner_reconstruct,
 )
@@ -534,3 +541,80 @@ def test_perturbed_probe_images_reconstruct_or_are_rejected(dim, antiunitary, se
     assert residual <= RECONSTRUCT_TOL
     assert residual == _probe_residual(op, wigner_probes(dim), images)
     assert op.antiunitary == antiunitary
+
+
+@given(
+    st.integers(2, 8),
+    st.data(),
+    st.integers(0, 2**16),
+    st.booleans(),
+    st.sampled_from((0.0, 0.5 * EPS, 2.0 * EPS, 0.25, 1.0)),
+)
+def test_closed_form_images_match_from_matrix(dim, data, seed, permuted, alpha_per_dim):
+    """Depolarizing and diagonal images carry the spectrum ``from_matrix`` finds in
+    their own matrix: the same zeros, eigenvalues within 1e-12.  alpha/d sits on
+    either side of ``eps_supp``, and a permuted identity basis puts the spectrum,
+    small eigenvalues included, on the diagonal."""
+    rng = rng_for(seed)
+    basis = np.eye(dim)[:, data.draw(st.permutations(range(dim)))] if permuted else haar_unitary(dim, rng)
+    state = _state(data.draw(spectra(dim)), basis)
+    alpha = min(alpha_per_dim * dim, 1.0) if alpha_per_dim < 0.25 else alpha_per_dim
+    for oracle in (depolarizing_oracle(dim, alpha), diagonal_oracle(dim)):
+        image = oracle(state)
+        decomposed = DensityState.from_matrix(image.matrix)
+        np.testing.assert_array_equal(image.w == 0.0, decomposed.w == 0.0)
+        np.testing.assert_allclose(image.w, decomposed.w, rtol=0.0, atol=1e-12)
+        # The matrix keeps what the zero rule drops: up to d eigenvalues below eps_supp.
+        np.testing.assert_allclose(image.reconstruct(), image.matrix, rtol=0.0, atol=dim * EPS + 1e-12)
+
+
+def _eager_householder_basis(vectors: list[np.ndarray]) -> np.ndarray:
+    """The basis ``from_orthonormal`` once completed at construction, copied as the reference."""
+    v = np.eye(vectors[0].shape[0], dtype=complex)
+    for j, u in enumerate(vectors):
+        h = u @ v.conj()
+        h[:j] = 0.0
+        hj = complex(h[j])
+        h[j] = hj + (hj / abs(hj) if hj else 1.0)
+        v -= (v @ h)[:, None] * (h.conj() * (2.0 / np.vdot(h, h).real))
+        v[:, j] = u
+    return v
+
+
+@st.composite
+def orthonormal_sets(draw):
+    """1 to 3 orthonormal vectors in dimension 2..8, from Haar columns or from
+    basis vectors, so the reflector meets zero pivots too."""
+    dim = draw(st.integers(2, 8))
+    k = draw(st.integers(1, min(3, dim)))
+    rng = rng_for(draw(st.integers(0, 2**16)))
+    columns = np.eye(dim, dtype=complex) if draw(st.booleans()) else haar_unitary(dim, rng)
+    order = draw(st.permutations(range(dim)))[:k]
+    weights = np.sort(rng.dirichlet(np.ones(k)))[::-1] if k > 1 else np.ones(1)
+    return list(weights), [columns[:, j] for j in order], rng
+
+
+@given(orthonormal_sets())
+def test_kernel_completed_on_read_equals_the_eager_basis(drawn):
+    weights, vectors, _ = drawn
+    state = DensityState.from_orthonormal(weights, vectors)
+    assert "v" not in vars(state) or len(vectors) == state.dim
+    assert state.v.tobytes() == _eager_householder_basis(vectors).tobytes()
+
+
+@given(orthonormal_sets(), st.booleans())
+def test_image_leading_columns_keep_their_bits(drawn, antiunitary):
+    """An image maps the leading columns at once; the full ``v`` read later starts
+    with exactly those columns, and is the mapped completed basis."""
+    weights, vectors, rng = drawn
+    dim, k = vectors[0].shape[0], len(vectors)
+    op = SymmetryOp(matrix=haar_unitary(dim, rng), antiunitary=antiunitary)
+    oracles = (conjugation_oracle(op), transpose_oracle(dim), depolarizing_oracle(dim))
+    for oracle in oracles:
+        state = DensityState.from_orthonormal(weights, vectors)
+        image = oracle(state)
+        leading = image._leading.copy()
+        assert leading.shape == (dim, k)
+        assert image.v[:, :k].tobytes() == leading.tobytes()
+        np.testing.assert_allclose(image.v.conj().T @ image.v, np.eye(dim), rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(image.reconstruct(), image.matrix, rtol=0.0, atol=dim * EPS + 1e-12)

@@ -1,4 +1,5 @@
-"""Divergences and ``verify_preserver`` at the dimensions the README claims (d = 64 and 128).
+"""Divergences and ``verify_preserver`` at the dimensions the README claims (d = 64 and 128,
+and ``verify_preserver`` at d = 256).
 
 Full-rank, rank-d/2 and pure states, so both the finite double sum and the
 infinite branch run.  The reference is built here from ``np.linalg.eigh``
@@ -108,6 +109,13 @@ def test_verify_antiunitary_conjugation(dim, kind):
     assert outcome.passed
     assert outcome.antiunitary is True
     assert outcome.failed_stage is None
+
+
+def test_verify_antiunitary_conjugation_at_d256():
+    op = SymmetryOp(matrix=haar_unitary(256, rng_for(9356)), antiunitary=True)
+    outcome = verify_preserver(parse_generator("quadratic"), conjugation_oracle(op), "bregman")
+    assert outcome.passed
+    assert outcome.antiunitary is True
 
 
 def test_verify_depolarizing_fails_on_divergences():
