@@ -139,9 +139,10 @@ def _bregman_pairs(
 def _double_sums(
     f: GeneratorFunction, xs: Sequence[DensityState], ys: Sequence[DensityState], n: int, tols: Tolerances
 ) -> np.ndarray:
-    """The double sums over the first n eigenvalues of each Y: one d x d overlap product
-    per pair, sliced to n columns (a d x n product rounds differently), the rest stacked."""
-    inner = np.array([(x.v.conj().T @ y.v)[:, :n] for x, y in zip(xs, ys)])
+    """The double sums over the first n eigenvalues of each Y, each step one stack: the
+    overlaps are one stacked d x d product, sliced to n columns (a d x n product rounds
+    differently), with the bits of each pair's ``x.v.conj().T @ y.v``."""
+    inner = (_stack([x.v for x in xs]).conj().swapaxes(1, 2) @ _stack([y.v for y in ys]))[:, :, :n]
     kept = inner.real**2 + inner.imag**2
     w = np.array([[x.w for x in xs], [y.w for y in ys]])
     fx, fy = f.values(w)

@@ -25,7 +25,7 @@ import numpy as np
 from .config import DEFAULT_TOLS, Tolerances
 from .errors import FileFormatError, ParameterError, ValidationError
 from .generators import parse_generator
-from .hermitian import DensityState, RankOneProjection, hermitian_part
+from .hermitian import DensityState, RankOneProjection, _projection_vectors, hermitian_part
 from .preserver import SymmetryOp, probe_labels
 
 __all__ = [
@@ -169,7 +169,12 @@ def read_probe_images(
 ) -> list[RankOneProjection]:
     """Read probe images; entries may appear in any order but must cover the
     canonical label set exactly: 2 dim distinct known labels.  Each image must
-    validate as a pure state and keeps its matrix as read."""
+    validate as a pure state and keeps its matrix as read.
+
+    Entries are checked one at a time, in file order, so the first bad entry
+    is the one reported; each image's vector is then ``as_rank_one`` of its
+    state, all taken as one array (``_projection_vectors``).
+    """
     obj = _load_json(path)
     dim = _read_dim(obj, path)
     entries = obj.get("images")
@@ -178,20 +183,22 @@ def read_probe_images(
     if len(entries) != 2 * dim:
         raise FileFormatError(f"{path}: a dim-{dim} probe file needs {2 * dim} images, got {len(entries)}")
     labels = probe_labels(dim)
-    by_label: dict[str, RankOneProjection] = {}
+    known = set(labels)
+    by_label: dict[str, tuple[np.ndarray, np.ndarray]] = {}  # the leading eigenvector and the matrix read
     for entry in entries:
         if not isinstance(entry, dict) or "label" not in entry:
             raise FileFormatError(f"{path}: each image needs a 'label'")
         label = entry["label"]
-        if label not in labels:
+        if not isinstance(label, str) or label not in known:
             raise FileFormatError(f"{path}: unknown probe label {label!r}")
         if label in by_label:
             raise FileFormatError(f"{path}: duplicate probe label {label!r}")
         matrix = _payload_matrix(entry, dim, f"{path}[{label}]")
         state = DensityState.from_matrix(matrix, tols)
-        vector = state.as_rank_one(tols).vector
-        by_label[label] = RankOneProjection(vector=vector, source_matrix=state.matrix)
-    return [by_label[label] for label in labels]
+        by_label[label] = (state._pure_column(tols), state.matrix)
+    columns, matrices = zip(*(by_label[label] for label in labels))
+    vectors = _projection_vectors(np.array(columns))
+    return [RankOneProjection(vector=v, source_matrix=m) for v, m in zip(vectors, matrices)]
 
 
 @dataclass(frozen=True)

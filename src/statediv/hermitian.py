@@ -300,11 +300,12 @@ class DensityState:
         """Reassemble V diag(w) V*."""
         return (self.v * self.w) @ self.v.conj().T
 
-    def as_rank_one(self, tols: Tolerances = DEFAULT_TOLS) -> "RankOneProjection":
-        """Extract the rank-one projection if this state is pure.
+    def _pure_column(self, tols: Tolerances) -> np.ndarray:
+        """The leading eigenvector, as stored, if the state is pure: the rank-one rule.
 
         Pure means a leading eigenvalue within ``tol_num`` of 1 and no other
-        eigenvalue of its sign less than ``cluster_tol`` below it.
+        eigenvalue of its sign less than ``cluster_tol`` below it; anything
+        else raises ``ValidationError``.
         """
         w, top = self.w, float(self.w[0])
         multiplicity = int(np.count_nonzero((top - w < tols.cluster_tol) & (np.sign(w) == np.sign(top))))
@@ -313,8 +314,12 @@ class DensityState:
                 f"state is not rank-one: leading eigenvalue {top!r} "
                 f"with multiplicity {multiplicity}"
             )
-        vector = self._leading[:, 0]
-        return RankOneProjection.from_vector(vector * vector[np.argmax(np.abs(vector))].conj())
+        return self._leading[:, 0]
+
+    def as_rank_one(self, tols: Tolerances = DEFAULT_TOLS) -> "RankOneProjection":
+        """The rank-one projection of this state if it is pure (the rank-one rule,
+        ``ValidationError`` otherwise): the one-state case of ``_projection_vectors``."""
+        return RankOneProjection(vector=_projection_vectors(self._pure_column(tols)[None])[0])
 
 
 def density_state(matrix: np.ndarray) -> DensityState:
@@ -336,11 +341,9 @@ class RankOneProjection:
 
     @classmethod
     def from_vector(cls, vector: np.ndarray) -> "RankOneProjection":
-        vector = np.asarray(vector, dtype=complex).reshape(-1)
-        norm = float(np.linalg.norm(vector))
-        if not DEFAULT_TOLS.tol_num <= norm < np.inf:  # zero, or NaN or inf from an entry
-            raise ValidationError(f"cannot build a rank-one projection from a vector of norm {norm!r}")
-        return cls(vector=vector / norm)
+        """The projection on ``vector``, kept divided by its norm (``ValidationError`` for
+        a zero, NaN or inf norm): the one-vector case of ``_unit_rows``."""
+        return cls(vector=_unit_rows(np.asarray(vector, dtype=complex).reshape(1, -1))[0])
 
     @property
     def dim(self) -> int:
@@ -355,6 +358,34 @@ class RankOneProjection:
     def to_state(self) -> DensityState:
         """The state |v><v|, with its decomposition attached (no eigh runs)."""
         return DensityState.from_orthonormal([1.0], [self.vector])
+
+
+def _row_norms(vectors: np.ndarray) -> np.ndarray:
+    """The 2-norm of each row of a (k, d) complex stack, with the bits of
+    ``np.linalg.norm`` of each row: sqrt(re . re + im . im), each dot one (1, d) @ (d, 1)
+    matmul item, which runs the BLAS dot ``norm`` runs on the row's contiguous copy."""
+    vectors = np.ascontiguousarray(vectors)
+    re, im = vectors.real, vectors.imag
+    return np.sqrt((re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])[:, 0, 0])
+
+
+def _unit_rows(vectors: np.ndarray) -> np.ndarray:
+    """Each row of a (k, d) complex stack divided by its norm; ``ValidationError``
+    names the first norm that is below ``tol_num``, NaN or inf."""
+    norms = _row_norms(vectors)
+    bad = ~((DEFAULT_TOLS.tol_num <= norms) & (norms < np.inf))  # zero, or NaN or inf from an entry
+    if bad.any():
+        norm = float(norms[np.argmax(bad)])
+        raise ValidationError(f"cannot build a rank-one projection from a vector of norm {norm!r}")
+    return vectors / norms[:, None]
+
+
+def _projection_vectors(columns: np.ndarray) -> np.ndarray:
+    """The unit vectors of the pure states whose leading eigenvectors are the rows of
+    a (k, d) stack: each row phased so that its first largest-modulus entry is real
+    and positive, then divided by its norm (``_unit_rows``), one stacked step each."""
+    largest = columns[np.arange(len(columns)), np.argmax(np.abs(columns), axis=1)]
+    return _unit_rows(columns * largest.conj()[:, None])
 
 
 def transition_probability(p: RankOneProjection, q: RankOneProjection) -> float:

@@ -32,6 +32,8 @@ from .hermitian import (
     RankOneProjection,
     _decide_zeros,
     _finite_square,
+    _projection_vectors,
+    _row_norms,
     hermitian_part,
     transition_probability,
 )
@@ -69,6 +71,7 @@ RECONSTRUCT_TOL = 1e-8  # admissible max-entry miss of a reconstructed probe ima
 DIVERGENCE_TOL = 1e-8  # admissible divergence deviation and residual in verify_preserver
 PURE_MARGIN = 1e-3  # admissible gap between M(X) and the pure reference value
 PROBE_LAM = 0.25  # weight of P in the rank-two mixture lam P + (1 - lam) Q that probes infinite f'(0)
+RESIDUAL_BLOCK = 2**12  # entries of the d x d probe outer products the probe residual holds at once
 
 
 # ---------------------------------------------------------------------------
@@ -428,6 +431,10 @@ def wigner_reconstruct(
     phase anchor has modulus near 1/sqrt(2) and the i-probe image fits one
     orientation, so nothing else is checked.  The global phase is fixed so the
     first nonzero component of the image of e_1 is real and nonnegative.
+
+    The column phases are taken from the image vectors as one (2 dim, dim)
+    array: each phase quotient <psi_i, psi_e1+ei> / <psi_e1, psi_e1+ei> is a pair of
+    (1, dim) @ (dim, 1) matmul items, which give the bits of ``np.vdot``.
     """
     images = list(images)
     if not images or len(images) % 2 != 0:
@@ -450,14 +457,13 @@ def wigner_reconstruct(
             f"differs from {want[a, b]:.9f} by {abs(want[a, b] - got[a, b]):.3e} > {WIGNER_TOL:.1e}"
         )
 
-    columns = np.zeros((dim, dim), dtype=complex)
-    psi1 = images[0].vector
-    columns[:, 0] = psi1
-    for i in range(1, dim):
-        base = images[i].vector
-        target = images[dim + i - 1].vector  # image of (e1 + e_{i+1})/sqrt(2)
-        phase = np.vdot(base, target) / np.vdot(psi1, target)
-        columns[:, i] = (phase / abs(phase)) * base
+    psi = np.array([img.vector for img in images])
+    target = psi[dim:-1, :, None]  # the images of (e1 + e_i)/sqrt(2), i = 2..d
+    phase = ((psi[1:dim, None, :].conj() @ target) / (psi[:1, None, :].conj() @ target))[:, 0, 0]
+    # np.hypot is the scalar abs(); the array np.abs of a complex rounds differently.
+    columns = np.empty((dim, dim), dtype=complex)
+    columns[:, 0] = psi[0]
+    columns[:, 1:] = (phase[:, None] / np.hypot(phase.real, phase.imag)[:, None] * psi[1:dim]).T
 
     izz = images[-1].vector  # image of (e1 + i e2)/sqrt(2)
     plus = (columns[:, 0] + 1j * columns[:, 1]) / math.sqrt(2.0)
@@ -481,22 +487,47 @@ def wigner_reconstruct(
 
 def _probe_images(oracle: PreserverOracle, tols: Tolerances) -> list[RankOneProjection]:
     """The oracle's images of ``wigner_probes(oracle.dim)``, in order, as rank-one
-    projections; the first image that is not rank-one raises ``ValidationError``."""
-    return [oracle(probe.to_state()).as_rank_one(tols) for probe in wigner_probes(oracle.dim)]
+    projections, each ``as_rank_one`` of its image.
+
+    The probes are mapped one at a time and the first image that fails the
+    rank-one rule raises ``ValidationError`` before the next probe is mapped;
+    the leading vectors are then phased and normalized as one array.
+    """
+    columns = np.array([oracle(probe.to_state())._pure_column(tols) for probe in wigner_probes(oracle.dim)])
+    return [RankOneProjection(vector=vector) for vector in _projection_vectors(columns)]
 
 
 def _probe_residual(
     op: SymmetryOp, probes: Sequence[RankOneProjection], images: Sequence[RankOneProjection]
 ) -> float:
     """Max-entry deviation between op-applied probes and the given images: the largest
-    entry of |U phi><U phi| - |psi><psi| over the probes, one probe at a time."""
-    deviations = []
-    for probe, image in zip(probes, images, strict=True):
-        mapped = op.apply_vector(probe.vector)
-        mapped = mapped / float(np.linalg.norm(mapped))
-        deviations.append(np.max(np.abs(np.outer(mapped, mapped.conj()) - image.matrix)))
+    entry of |U phi><U phi| - |psi><psi| over the probes (|psi><psi| is an image's
+    ``matrix``), with the bits of taking it one probe at a time.
+
+    The probes run in blocks whose outer products hold at most ``RESIDUAL_BLOCK``
+    entries (one probe per block from d = 46 on), so a large d holds one d x d
+    product of each kind at a time; a NaN entry gives NaN.
+    """
+    phi, psi = np.array([p.vector for p in probes]), np.array([im.vector for im in images])
+    if op.antiunitary:
+        np.conj(phi, out=phi)
+    step = max(1, RESIDUAL_BLOCK // op.dim**2)
+    worst = []
+    for start in range(0, len(psi), step):
+        block = slice(start, start + step)
+        # One (d, d) @ (d, 1) product per probe: the bits of ``op.apply_vector``, which
+        # a (d, d) @ (d, step) product would not keep.
+        mapped = (op.matrix @ phi[block, :, None])[:, :, 0]
+        mapped /= _row_norms(mapped)[:, None]
+        deviation = mapped[:, :, None] * mapped[:, None, :].conj()
+        expected = psi[block, :, None] * psi[block, None, :].conj()
+        for k, image in enumerate(images[block]):
+            if image.source_matrix is not None:
+                expected[k] = image.source_matrix
+        deviation -= expected
+        worst.append(np.abs(deviation).max())
     # np.max, not the builtin: max(0.0, nan) drops a NaN that must fail the fit.
-    return float(np.max(deviations))
+    return float(np.max(worst))
 
 
 # ---------------------------------------------------------------------------

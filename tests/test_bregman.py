@@ -25,6 +25,7 @@ from statediv import (
     std_entropy,
     support_contained,
 )
+from statediv.bregman import _double_sums
 from conftest import orthogonal_pure_pair
 
 XLOGX = std_entropy()
@@ -335,3 +336,30 @@ class TestEpsilonContinuity:
             v2 = _bregman_epsilon_shifted(f, x.matrix, y.matrix, eps2)
             extrapolated = v2 + (v2 - v1) * eps2 / (eps1 - eps2)
             assert bregman(f, x, y) == pytest.approx(extrapolated, abs=1e-3)
+
+
+def _per_pair_double_sums(f, xs, ys, n, tols):
+    """``_double_sums`` with one d x d overlap product per pair, each sliced to n columns."""
+    inner = np.array([(x.v.conj().T @ y.v)[:, :n] for x, y in zip(xs, ys)])
+    kept = inner.real**2 + inner.imag**2
+    w = np.array([[x.w for x in xs], [y.w for y in ys]])
+    fx, fy = f.values(w)
+    a, b = w[0, :, :, None], w[1, :, None, :n]
+    terms = (fx[:, :, None] - fy[:, None, :n] - f.slopes(b) * (a - b)) * kept
+    return terms.sum(axis=(1, 2), where=kept >= tols.tol_num**2)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 16, 33])
+def test_stacked_overlaps_keep_the_per_pair_bits(dim):
+    """The overlaps of a group are one stacked product, sliced to n columns: every
+    double sum has the bits of the per-pair products, for groups of one pair too."""
+    rng = rng_for(700 + dim)
+    half = max(1, dim // 2)
+    xs = [random_state(dim, rng=rng), random_pure(dim, rng).to_state(), random_state(dim, half, rng=rng)]
+    ys = [random_state(dim, half, rng=rng), random_state(dim, rng=rng), random_pure(dim, rng).to_state()]
+    for f in ALL_GENERATORS:
+        # In the infinite class n is at most the rank of each Y (here 1).
+        for n in sorted({1, half, dim} if f.finite_zero_slope else {1}):
+            for k in (1, 3):
+                stacked = _double_sums(f, xs[:k], ys[:k], n, DEFAULT_TOLS)
+                assert stacked.tobytes() == _per_pair_double_sums(f, xs[:k], ys[:k], n, DEFAULT_TOLS).tobytes()

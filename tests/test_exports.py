@@ -280,6 +280,13 @@ def test_only_the_zero_rule_and_the_support_tests_read_eps_supp():
     assert readers == {"_decide_zeros", "_leaks", "bregman_rank_one_pair", "bregman_rank_one_vs_rank_two"}
 
 
+def test_only_the_rank_one_rule_reads_cluster_tol():
+    """``DensityState._pure_column`` is the one rank-one rule: the per-probe and
+    per-entry checks call it, and no stacked path keeps a copy of it."""
+    readers = [r for path in PACKAGE_FILES for r in _readers_of("cluster_tol", path.read_text(encoding="utf-8"))]
+    assert readers == ["_pure_column"]
+
+
 def test_preserver_runs_no_eigendecomposition():
     """The built-in oracles know their images' spectra, so ``preserver.py`` decomposes
     no matrix: it reads neither ``eigh`` nor a ``DensityState`` matrix constructor.

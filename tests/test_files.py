@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -142,6 +143,39 @@ class TestProbeImageFiles:
         obj["images"][0]["im"] = [[0.0, 0.0], [0.0, 0.0]]
         path.write_text(json.dumps(obj))
         with pytest.raises(ValidationError):
+            read_probe_images(path)
+
+    @pytest.mark.parametrize("label", ["e9", "E1", ["e1"], {"e1": 1}, 7, None])
+    def test_unknown_label_rejected(self, tmp_path, label):
+        path = tmp_path / "probes.json"
+        write_probe_images(path, wigner_probes(2))
+        obj = json.loads(path.read_text())
+        obj["images"][1]["label"] = label
+        path.write_text(json.dumps(obj))
+        with pytest.raises(FileFormatError, match=f"unknown probe label {re.escape(repr(label))}"):
+            read_probe_images(path)
+
+    def test_duplicate_label_rejected(self, tmp_path):
+        path = tmp_path / "probes.json"
+        write_probe_images(path, wigner_probes(2))
+        obj = json.loads(path.read_text())
+        obj["images"][2]["label"] = "e1"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(FileFormatError, match="duplicate probe label 'e1'"):
+            read_probe_images(path)
+
+    @pytest.mark.parametrize("impure_first", [True, False])
+    def test_first_bad_entry_in_file_order_is_reported(self, tmp_path, impure_first):
+        """Entries are checked one at a time: of an impure entry and a non-Hermitian
+        one, the one earlier in the file is reported."""
+        path = tmp_path / "probes.json"
+        write_probe_images(path, wigner_probes(2))
+        obj = json.loads(path.read_text())
+        impure, skewed = (obj["images"][0], obj["images"][3]) if impure_first else (obj["images"][3], obj["images"][0])
+        impure["re"], impure["im"] = [[0.5, 0.0], [0.0, 0.5]], [[0.0, 0.0], [0.0, 0.0]]
+        skewed["re"], skewed["im"] = [[0.5, 0.5], [0.0, 0.5]], [[0.0, 0.0], [0.0, 0.0]]
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ValidationError, match="not rank-one" if impure_first else "not Hermitian"):
             read_probe_images(path)
 
 

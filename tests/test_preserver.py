@@ -7,6 +7,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from statediv import (
     DEFAULT_TOLS,
@@ -55,7 +57,8 @@ from statediv import (
     wigner_reconstruct,
 )
 from statediv import preserver
-from statediv.preserver import PROBE_LAM, _pair_divergences, _probe_residual
+from statediv.files import read_probe_images, write_probe_images
+from statediv.preserver import PROBE_LAM, RESIDUAL_BLOCK, _pair_divergences, _probe_images, _probe_residual
 from conftest import mixed_state_with_gap, orthogonal_pure_pair
 
 XLOGX = std_entropy()
@@ -401,16 +404,20 @@ class TestWignerReconstruct:
         with pytest.raises(NotAPreserverError):
             wigner_reconstruct(images)
 
-    def test_nan_probe_residual_on_a_later_image_fails(self):
+    @pytest.mark.parametrize("dim, index", [(3, 2), (33, 65)])
+    def test_nan_probe_residual_on_a_later_image_fails(self, dim, index):
         # The vectors are intact, so the pair gate passes; only the residual,
-        # read from the matrices, sees the NaN.
+        # read from the matrices, sees the NaN.  At d = 33 it sits in the last
+        # of several residual blocks.
         rng = rng_for(203)
-        source = SymmetryOp(matrix=haar_unitary(3, rng), antiunitary=False)
-        images = [source.apply_projection(p) for p in wigner_probes(3)]
-        matrix = images[2].matrix.copy()
+        source = SymmetryOp(matrix=haar_unitary(dim, rng), antiunitary=False)
+        images = [source.apply_projection(p) for p in wigner_probes(dim)]
+        matrix = images[index].matrix.copy()
         matrix[1, 1] = math.nan
-        images[2] = RankOneProjection(vector=images[2].vector, source_matrix=matrix)
-        assert math.isnan(_probe_residual(source, wigner_probes(3), images))
+        images[index] = RankOneProjection(vector=images[index].vector, source_matrix=matrix)
+        step = max(1, RESIDUAL_BLOCK // dim**2)
+        assert index // step == (2 * dim - 1) // step
+        assert math.isnan(_probe_residual(source, wigner_probes(dim), images))
         with pytest.raises(NotAPreserverError, match="misses the probe images by nan"):
             wigner_reconstruct(images)
 
@@ -551,6 +558,136 @@ class TestClosedFormPairValues:
             transition_table([])
         with pytest.raises(ParameterError, match="at least one projection"):
             probe_transitions_via_divergence(QUAD, [], kind)
+
+
+def _per_probe_vector(state: DensityState) -> np.ndarray:
+    """``as_rank_one`` of one pure state, one probe at a time: the leading column
+    phased by its largest-modulus entry, then divided by ``np.linalg.norm``."""
+    vector = state._leading[:, 0]
+    vector = vector * vector[np.argmax(np.abs(vector))].conj()
+    return vector / float(np.linalg.norm(vector))
+
+
+def _per_probe_fit(images) -> SymmetryOp:
+    """``wigner_reconstruct``'s operator with its column phases taken one column at a time."""
+    dim = len(images) // 2
+    columns = np.zeros((dim, dim), dtype=complex)
+    psi1 = images[0].vector
+    columns[:, 0] = psi1
+    for i in range(1, dim):
+        base, target = images[i].vector, images[dim + i - 1].vector
+        phase = np.vdot(base, target) / np.vdot(psi1, target)
+        columns[:, i] = (phase / abs(phase)) * base
+    izz = images[-1].vector
+    plus = (columns[:, 0] + 1j * columns[:, 1]) / math.sqrt(2.0)
+    minus = (columns[:, 0] - 1j * columns[:, 1]) / math.sqrt(2.0)
+    antiunitary = abs(np.vdot(minus, izz)) ** 2 > abs(np.vdot(plus, izz)) ** 2
+    for k in range(dim):
+        if abs(columns[k, 0]) > DEFAULT_TOLS.tol_num:
+            columns = columns * np.conj(columns[k, 0] / abs(columns[k, 0]))
+            break
+    return SymmetryOp(matrix=columns, antiunitary=bool(antiunitary))
+
+
+def _per_probe_residual(op: SymmetryOp, probes, images) -> float:
+    """``_probe_residual`` taken one probe at a time."""
+    deviations = []
+    for probe, image in zip(probes, images, strict=True):
+        mapped = op.apply_vector(probe.vector)
+        mapped = mapped / float(np.linalg.norm(mapped))
+        deviations.append(np.max(np.abs(np.outer(mapped, mapped.conj()) - image.matrix)))
+    return float(np.max(deviations))
+
+
+def _oracle_of(kind: str, dim: int, seed: int) -> PreserverOracle:
+    if kind == "transpose":
+        return transpose_oracle(dim)
+    return conjugation_oracle(SymmetryOp(matrix=haar_unitary(dim, rng_for(seed)), antiunitary=kind == "antiunitary"))
+
+
+def _assert_same_stage(images, probes) -> None:
+    """The stacked fit and residual have the bits of the per-probe ones."""
+    op, residual = wigner_reconstruct(images)
+    reference = _per_probe_fit(images)
+    assert op.matrix.tobytes() == reference.matrix.tobytes()
+    assert op.matrix.flags.c_contiguous
+    assert op.antiunitary == reference.antiunitary
+    assert residual.hex() == _per_probe_residual(reference, probes, images).hex()
+
+
+class TestStackedWignerStage:
+    """The probe vectors, column phases and probe residual, each taken as one array,
+    keep the bits of the probe-at-a-time code written out above."""
+
+    @settings(max_examples=40)
+    @given(
+        st.sampled_from((2, 3, 8, 33)),
+        st.sampled_from(("unitary", "antiunitary", "transpose")),
+        st.integers(0, 2**16),
+    )
+    def test_probe_images_fit_and_residual_keep_the_per_probe_bits(self, dim, kind, seed):
+        if dim == 33:
+            assert RESIDUAL_BLOCK // dim**2 < 2 * dim  # the residual runs in several blocks
+        oracle = _oracle_of(kind, dim, seed)
+        probes = wigner_probes(dim)
+        images = _probe_images(oracle, DEFAULT_TOLS)
+        for image, probe in zip(images, probes, strict=True):
+            assert image.vector.tobytes() == _per_probe_vector(oracle(probe.to_state())).tobytes()
+        _assert_same_stage(images, probes)
+
+    @pytest.mark.parametrize("dim", [2, 3, 8, 33])
+    def test_probe_files_keep_the_per_entry_bits(self, dim, tmp_path):
+        """Images read from a file keep their matrices as read; their vectors and the
+        fit read from them have the per-entry bits."""
+        probes = wigner_probes(dim)
+        path = tmp_path / "probes.json"
+        write_probe_images(path, _probe_images(_oracle_of("antiunitary", dim, 90 + dim), DEFAULT_TOLS))
+        images = read_probe_images(path)
+        for image in images:
+            assert image.vector.tobytes() == _per_probe_vector(DensityState.from_matrix(image.matrix)).tobytes()
+        _assert_same_stage(images, probes)
+
+    @pytest.mark.parametrize("dim", [3, 8])
+    @pytest.mark.parametrize(
+        "make, mapped, error",
+        [
+            (depolarizing_oracle, lambda dim: 1, {3: "0.6666666666666666 with multiplicity 1",
+                                                  8: "0.5625 with multiplicity 1"}),
+            (diagonal_oracle, lambda dim: dim + 1, {3: "0.4999999999999999 with multiplicity 2",
+                                                    8: "0.4999999999999999 with multiplicity 2"}),
+        ],
+    )
+    def test_probes_stop_at_the_first_impure_image(self, dim, make, mapped, error):
+        base = make(dim)
+        calls = []
+
+        def mapping(state):
+            calls.append(state)
+            return base.mapping(state)
+
+        samples = 2
+        outcome = verify_preserver(QUAD, PreserverOracle(dim=dim, mapping=mapping), "bregman", sample_size=samples)
+        assert len(calls) - (2 * samples + 2) == mapped(dim)
+        assert outcome.reconstruction_error == (
+            f"probe image is not rank-one: state is not rank-one: leading eigenvalue {error[dim]}"
+        )
+
+    def test_an_impure_image_stops_the_probes_before_an_oracle_error(self):
+        dim, samples, impure = 4, 2, 3
+        calls = []
+
+        def mapping(state):
+            calls.append(state)
+            probe = len(calls) - (2 * samples + 2) - 1  # negative for the sampled states
+            if probe == impure:
+                return DensityState.from_matrix(np.eye(dim) / dim)
+            if probe == impure + 1:
+                raise OracleError("mapped the probe after an impure image")
+            return state
+
+        outcome = verify_preserver(QUAD, PreserverOracle(dim=dim, mapping=mapping), "bregman", sample_size=samples)
+        assert outcome.failed_stage == "probe-rank-one"
+        assert len(calls) == 2 * samples + 2 + impure + 1
 
 
 class TestVerifyPreserver:
